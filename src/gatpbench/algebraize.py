@@ -1,13 +1,15 @@
 """Turn a constructive problem into polynomial hypotheses and conclusions.
 
-Coordinates follow the construction: Fixed points get exact constants, each
-Free point two fresh parameters u*, and every constrained point gets either
-a parameter/dependent pair (semi-free constructors: on_line, on_circle take
-the abscissa as a free parameter) or two dependents.  Hypothesis equations
-are emitted in construction order, so step i never mentions a dependent
-introduced later.  Constructor-level solvability assumptions (line AB not
-vertical, lines not parallel, base points distinct, triangle not flat) are
-collected as ndg hints alongside the system.
+Coordinates follow the construction and each step's declared roles: Fixed
+points get exact constants, each Free point two fresh parameters u*, and
+every constrained point gets either a parameter/dependent pair (semi-free
+constructors: on_line, on_circle take the abscissa as a free parameter) or
+two dependents x*.  A step's hypotheses are the equations of the
+predicates it asserts, emitted in construction order, so step i never
+mentions a dependent introduced later.  Constructor-level solvability
+assumptions (the steps' ndg hints: line AB not vertical, lines not
+parallel, base points distinct, triangle not flat) are collected alongside
+the system.
 """
 
 from __future__ import annotations
@@ -15,10 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import problems as pr
+from .problems import DEPENDENT, PARAM
 from .polynomials import Polynomial, as_polynomial
-
-PARAM = "param"
-DEPENDENT = "dependent"
 
 
 class AlgebraizeError(Exception):
@@ -86,22 +86,7 @@ class _Coords:
 
 def translate_predicate(pred, assignment) -> list[Polynomial]:
     """Polynomial form(s) of a predicate; degenerate ones become zero."""
-    co = _Coords(assignment)
-    if isinstance(pred, pr.Collinear):
-        return [co.collinear(pred.a, pred.b, pred.c)]
-    if isinstance(pred, pr.Parallel):
-        return [co.cross(pred.a, pred.b, pred.c, pred.d)]
-    if isinstance(pred, pr.Perpendicular):
-        return [co.dot(pred.a, pred.b, pred.c, pred.d)]
-    if isinstance(pred, pr.EqDist):
-        return [co.dist2(pred.a, pred.b) - co.dist2(pred.c, pred.d)]
-    if isinstance(pred, pr.MidpointOf):
-        return [2 * co.x(pred.m) - co.x(pred.a) - co.x(pred.b),
-                2 * co.y(pred.m) - co.y(pred.a) - co.y(pred.b)]
-    if isinstance(pred, pr.OnCircleOf):
-        return [co.dist2(pred.center, pred.p)
-                - co.dist2(pred.center, pred.through)]
-    raise TypeError(f"unknown predicate {pred!r}")
+    return pred.equations(_Coords(assignment))
 
 
 def algebraize(problem: pr.Problem) -> PolynomialSystem:
@@ -112,73 +97,29 @@ def algebraize(problem: pr.Problem) -> PolynomialSystem:
     ndg_hints: list[Polynomial] = []
     co = _Coords(assignment)
 
-    def new_param(point, axis):
-        v = Variable(f"u{len(params) + 1}", PARAM, len(params) + 1, point, axis)
-        params.append(v)
-        return v
-
-    def new_dep(point, axis):
-        v = Variable(f"x{len(dependents) + 1}", DEPENDENT,
-                     len(dependents) + 1, point, axis)
-        dependents.append(v)
+    def coordinate(step, axis, role):
+        if role == pr.CONSTANT:
+            return getattr(step, axis)
+        pool, prefix = ((params, "u") if role == PARAM
+                        else (dependents, "x"))
+        v = Variable(f"{prefix}{len(pool) + 1}", role, len(pool) + 1,
+                     step.point, axis)
+        pool.append(v)
         return v
 
     for step in problem.steps:
         p = step.point
-        added: list[Polynomial] = []
-        introduced: list[Variable] = []
-
-        if isinstance(step, pr.Fixed):
-            assignment[p] = (step.x, step.y)
-        elif isinstance(step, pr.Free):
-            assignment[p] = (new_param(p, "x"), new_param(p, "y"))
-        elif isinstance(step, pr.Midpoint):
-            vx, vy = new_dep(p, "x"), new_dep(p, "y")
-            introduced = [vx, vy]
-            assignment[p] = (vx, vy)
-            added = [2 * co.x(p) - co.x(step.a) - co.x(step.b),
-                     2 * co.y(p) - co.y(step.a) - co.y(step.b)]
-        elif isinstance(step, pr.OnLine):
-            vx = new_param(p, "x")
-            vy = new_dep(p, "y")
-            introduced = [vy]
-            assignment[p] = (vx, vy)
-            added = [co.collinear(p, step.a, step.b)]
-            ndg_hints.append(co.x(step.b) - co.x(step.a))
-        elif isinstance(step, pr.InterLL):
-            vx, vy = new_dep(p, "x"), new_dep(p, "y")
-            introduced = [vx, vy]
-            assignment[p] = (vx, vy)
-            added = [co.collinear(p, step.a, step.b),
-                     co.collinear(p, step.c, step.d)]
-            ndg_hints.append(co.cross(step.a, step.b, step.c, step.d))
-        elif isinstance(step, pr.Foot):
-            vx, vy = new_dep(p, "x"), new_dep(p, "y")
-            introduced = [vx, vy]
-            assignment[p] = (vx, vy)
-            added = [co.collinear(p, step.a, step.b),
-                     co.dot(step.src, p, step.a, step.b)]
-            ndg_hints.append(co.dist2(step.a, step.b))
-        elif isinstance(step, pr.OnCircle):
-            vx = new_param(p, "x")
-            vy = new_dep(p, "y")
-            introduced = [vy]
-            assignment[p] = (vx, vy)
-            added = [co.dist2(step.center, p)
-                     - co.dist2(step.center, step.through)]
-        elif isinstance(step, pr.Circumcenter):
-            vx, vy = new_dep(p, "x"), new_dep(p, "y")
-            introduced = [vx, vy]
-            assignment[p] = (vx, vy)
-            added = [co.dist2(p, step.a) - co.dist2(p, step.b),
-                     co.dist2(p, step.a) - co.dist2(p, step.c)]
-            ndg_hints.append(co.collinear(step.a, step.b, step.c))
-        else:
-            raise TypeError(f"unknown step {step!r}")
+        rx, ry = step.roles
+        assignment[p] = (coordinate(step, "x", rx), coordinate(step, "y", ry))
+        added = [eq for pred in step.asserts() for eq in pred.equations(co)]
+        hint = step.ndg_hint(co)
+        if hint is not None:
+            ndg_hints.append(hint)
 
         # each new dependent must actually be constrained by this step
-        for v in introduced:
-            if not any(eq.degree_in(v.name) > 0 for eq in added):
+        for v in assignment[p]:
+            if (isinstance(v, Variable) and v.kind == DEPENDENT
+                    and not any(eq.degree_in(v.name) > 0 for eq in added)):
                 raise DegenerateConstructionError(
                     f"step for {p} leaves {v.name} unconstrained "
                     f"(degenerate arguments?)")

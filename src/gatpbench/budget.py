@@ -8,6 +8,7 @@ which callers turn into a timeout verdict.
 
 from __future__ import annotations
 
+import math
 import time
 
 
@@ -19,8 +20,9 @@ class Deadline:
     __slots__ = ("limit", "_t0")
 
     def __init__(self, seconds: float | None = None):
-        if seconds is not None and seconds <= 0:
-            raise ValueError("budget must be positive")
+        # nan fails both comparisons, so it is rejected along with inf
+        if seconds is not None and not 0 < seconds < math.inf:
+            raise ValueError("budget must be positive and finite")
         self.limit = seconds
         self._t0 = time.perf_counter()
 
@@ -33,10 +35,3 @@ class Deadline:
     def check(self) -> None:
         if self.expired():
             raise DeadlineExceeded(f"budget of {self.limit}s exhausted")
-
-
-def as_deadline(budget: "Deadline | float | None") -> Deadline:
-    """Coerce a float budget (seconds) or None (unlimited) into a Deadline."""
-    if isinstance(budget, Deadline):
-        return budget
-    return Deadline(budget)

@@ -11,6 +11,7 @@ and an explicit --timeout flag wins over both.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -34,6 +35,10 @@ EXIT_INTERNAL = 3
 ENV_TIMEOUT = "GATPBENCH_TIMEOUT"
 
 
+# built-in prover ids and the descriptors they stand for
+_BUILTINS = {"wu": wu_descriptor, "gbm": groebner_descriptor}
+
+
 class UsageError(Exception):
     pass
 
@@ -43,8 +48,8 @@ def _positive_seconds(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("timeout must be positive")
+    if not 0 < value < math.inf:  # also rejects nan
+        raise argparse.ArgumentTypeError("timeout must be positive and finite")
     return value
 
 
@@ -58,8 +63,8 @@ def resolve_timeout(flag_value: float | None) -> float:
             value = float(env)
         except ValueError:
             raise UsageError(f"{ENV_TIMEOUT} is not a number: {env!r}")
-        if value <= 0:
-            raise UsageError(f"{ENV_TIMEOUT} must be positive")
+        if not 0 < value < math.inf:
+            raise UsageError(f"{ENV_TIMEOUT} must be positive and finite")
         return value
     return DEFAULT_TIMEOUT_SECONDS
 
@@ -78,10 +83,8 @@ def _parse_provers(listing: str, externals) -> list:
     byid = {d.id: d for d in externals}
     out = []
     for name in filter(None, (s.strip() for s in listing.split(","))):
-        if name == "wu":
-            out.append(wu_descriptor())
-        elif name == "gbm":
-            out.append(groebner_descriptor())
+        if name in _BUILTINS:
+            out.append(_BUILTINS[name]())
         elif name in byid:
             out.append(byid.pop(name))
         else:
@@ -119,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="decide one problem file")
     p.add_argument("file")
-    p.add_argument("--prover", choices=["wu", "gbm"], default="wu")
+    p.add_argument("--prover", choices=list(_BUILTINS), default="wu")
     p.add_argument("--timeout", type=_positive_seconds, default=None,
                    metavar="S")
     p.add_argument("--trace", action="store_true",
@@ -213,10 +216,8 @@ def _cmd_rank(args) -> int:
     known = {d.id: d for d in _parse_external(args.external)}
     descriptors = []
     for pid in sorted({r.prover_id for r in records}):
-        if pid == "wu":
-            descriptors.append(wu_descriptor())
-        elif pid == "gbm":
-            descriptors.append(groebner_descriptor())
+        if pid in _BUILTINS:
+            descriptors.append(_BUILTINS[pid]())
         elif pid in known:
             descriptors.append(known[pid])
         else:

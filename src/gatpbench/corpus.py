@@ -65,9 +65,6 @@ class CorpusManifest:
                 return e
         raise KeyError(problem_id)
 
-    def ids(self):
-        return tuple(e.id for e in self.entries)
-
 
 def load_corpus(manifest_path) -> CorpusManifest:
     manifest_path = Path(manifest_path)

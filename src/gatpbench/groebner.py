@@ -76,8 +76,7 @@ def buchberger(gens, order: TermOrder,
         if not h.is_zero():
             basis.append(h.monic(order))
 
-    pending: list = []      # heap of (lcm degree, i, j)
-    done: set = set()       # pairs popped (processed or pruned)
+    pending: list = []      # heap of (lcm degree, i, j); each pair pushed once
 
     def push_pairs(j: int):
         lmj = basis[j].leading_monomial(order)
@@ -85,7 +84,6 @@ def buchberger(gens, order: TermOrder,
             l = basis[i].leading_monomial(order).lcm(lmj)
             heapq.heappush(pending, (l.degree, i, j))
 
-    pending_set = set()
     for j in range(len(basis)):
         push_pairs(j)
     pending_set = {(i, j) for _, i, j in pending}
@@ -94,9 +92,6 @@ def buchberger(gens, order: TermOrder,
         if deadline is not None:
             deadline.check()
         _, i, j = heapq.heappop(pending)
-        if (i, j) in done:
-            continue
-        done.add((i, j))
         pending_set.discard((i, j))
         lmi = basis[i].leading_monomial(order)
         lmj = basis[j].leading_monomial(order)

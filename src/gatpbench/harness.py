@@ -18,6 +18,7 @@ import platform
 import tempfile
 import threading
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -34,8 +35,6 @@ DEFAULT_TIMEOUT_SECONDS = 60.0
 
 HEADER = ("# problem_id\tprover_id\trepetition\tstatus\tcpu_seconds"
           "\twall_seconds\tndg_count\tstarted_at\thost_fingerprint")
-
-TIMING_FIELDS = ("cpu_seconds", "wall_seconds", "started_at")
 
 
 class CorruptRecordError(Exception):
@@ -55,8 +54,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.provers:
             raise ValueError("at least one prover")
-        if self.timeout_seconds <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout_seconds < math.inf:
+            raise ValueError("timeout must be positive and finite")
         if self.repetitions < 1 or self.parallelism < 1:
             raise ValueError("repetitions and parallelism must be >= 1")
 

@@ -145,10 +145,6 @@ class TermOrder:
         # exponent vector with flipped sign (rightmost difference decides).
         return (sum(evec), tuple(-e for e in reversed(evec)))
 
-    def extend(self, front) -> "TermOrder":
-        """Same kind, with extra variables prepended at highest precedence."""
-        return TermOrder(self.kind, tuple(front) + self.vars)
-
     def __repr__(self):
         return f"TermOrder({self.kind}, {list(self.vars)})"
 

@@ -19,6 +19,23 @@ Predicates: collinear A B C, parallel A B C D, perpendicular A B C D,
 eqdist A B C D, midpoint_of M A B, on_circle_of P O A.
 
 RAT is an integer or integer/integer, normalised to lowest terms.
+
+Each construct is declared once, as one frozen dataclass below whose class
+statement names its keyword, e.g. `class Midpoint(Step, keyword="midpoint")`;
+defining the class registers it.  Parsing, rendering, validation,
+algebraization and the sampling oracle all read that declaration and know
+no construct by name.  The dataclass fields are the arguments in text
+order (a Fraction field is a RAT, any other an IDENT).
+
+A predicate declares its polynomial `equations` and the `degenerate`
+reason that makes them vacuous.  A step's first field is the point it
+introduces; it declares the `roles` of that point's x and y coordinates
+(PARAM, DEPENDENT or CONSTANT), the predicates its hypotheses assert
+(`asserts`), its `ndg_hint`, its exact rational solver (`solve`) and its
+`degenerate` reason; it may also reject its own text outright
+(`parse_error`).  Adding a construct means adding one such class.  Every
+step's asserted predicates must hold on every model its solver returns,
+and every DEPENDENT coordinate must occur in some asserted equation.
 """
 
 from __future__ import annotations
@@ -26,6 +43,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+# coordinate roles of a step's new point
+PARAM = "param"            # a free parameter, drawn at random by the oracle
+DEPENDENT = "dependent"    # determined by the step's asserted equations
+CONSTANT = "constant"      # the step's own x / y field
 
 
 # ---------------------------------------------------------------------------
@@ -71,163 +93,363 @@ class ValidationWarning:
     detail: str
 
 
+class _Construct:
+    """Base of the declarations.  A subclass names its keyword in its class
+    statement and is registered under it in its family's table."""
+
+    def __init_subclass__(cls, keyword: str | None = None, **kw):
+        super().__init_subclass__(**kw)
+        if keyword is None:  # a family base, Predicate or Step
+            return
+        cls.keyword = keyword
+        # argument kinds in text order, read off the field annotations
+        cls._form = tuple("RAT" if t in ("Fraction", Fraction) else "IDENT"
+                          for t in cls.__annotations__.values())
+        cls._template = keyword + " %s" * len(cls._form)
+        cls._table[keyword] = cls
+
+    def args(self) -> tuple:
+        """Arguments in text order."""
+        # a frozen dataclass's instance dict is exactly its fields, in order
+        return tuple(vars(self).values())
+
+    def render(self) -> str:
+        return self._template % self.args()
+
+    def degenerate(self) -> str | None:
+        """Why the construct is vacuous or undetermined, or None."""
+        return None
+
+
 # ---------------------------------------------------------------------------
-# construction steps
+# predicates; `co` is algebraize's coordinate helper
+
+PREDICATES: dict = {}   # keyword -> predicate class
+
+
+class Predicate(_Construct):
+    """A conjecture form; each subclass declares one."""
+
+    _table = PREDICATES
+
+    def equations(self, co) -> list:
+        """Polynomials that vanish exactly where the predicate holds."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
-class Free:
-    point: str
+class Collinear(Predicate, keyword="collinear"):
+    a: str
+    b: str
+    c: str
 
-    def references(self):
+    def equations(self, co):
+        return [co.collinear(self.a, self.b, self.c)]
+
+    def degenerate(self):
+        if len({self.a, self.b, self.c}) < 3:
+            return "repeated point makes collinearity vacuous"
+        return None
+
+
+@dataclass(frozen=True)
+class Parallel(Predicate, keyword="parallel"):
+    a: str
+    b: str
+    c: str
+    d: str
+
+    def equations(self, co):
+        return [co.cross(self.a, self.b, self.c, self.d)]
+
+    def degenerate(self):
+        if self.a == self.b or self.c == self.d:
+            return "a zero-length segment is parallel to anything"
+        if {self.a, self.b} == {self.c, self.d}:
+            return "a line is trivially parallel to itself"
+        return None
+
+
+@dataclass(frozen=True)
+class Perpendicular(Predicate, keyword="perpendicular"):
+    a: str
+    b: str
+    c: str
+    d: str
+
+    def equations(self, co):
+        return [co.dot(self.a, self.b, self.c, self.d)]
+
+    def degenerate(self):
+        if self.a == self.b or self.c == self.d:
+            return "a zero-length segment is perpendicular to anything"
+        return None
+
+
+@dataclass(frozen=True)
+class EqDist(Predicate, keyword="eqdist"):
+    a: str
+    b: str
+    c: str
+    d: str
+
+    def equations(self, co):
+        return [co.dist2(self.a, self.b) - co.dist2(self.c, self.d)]
+
+    def degenerate(self):
+        if {self.a, self.b} == {self.c, self.d}:
+            return "a segment always equals itself"
+        if self.a == self.b and self.c == self.d:
+            return "two zero-length segments are always equal"
+        return None
+
+
+@dataclass(frozen=True)
+class MidpointOf(Predicate, keyword="midpoint_of"):
+    m: str
+    a: str
+    b: str
+
+    def equations(self, co):
+        return [2 * co.x(self.m) - co.x(self.a) - co.x(self.b),
+                2 * co.y(self.m) - co.y(self.a) - co.y(self.b)]
+
+    def degenerate(self):
+        if self.m == self.a == self.b:
+            return "a point is trivially the midpoint of itself"
+        return None
+
+
+@dataclass(frozen=True)
+class OnCircleOf(Predicate, keyword="on_circle_of"):
+    p: str
+    center: str
+    through: str
+
+    def equations(self, co):
+        return [co.dist2(self.center, self.p)
+                - co.dist2(self.center, self.through)]
+
+    def degenerate(self):
+        if self.p == self.through:
+            return "the defining point is trivially on its circle"
+        return None
+
+
+# ---------------------------------------------------------------------------
+# construction steps; `pts` maps earlier points to exact coordinates and
+# `draw()` returns a random rational
+
+STEPS: dict = {}   # keyword -> step class
+
+
+class Step(_Construct):
+    """A construction step; each subclass declares one."""
+
+    _table = STEPS
+    roles = (DEPENDENT, DEPENDENT)
+
+    def asserts(self) -> tuple:
+        """Predicates whose equations are this step's hypotheses."""
         return ()
 
+    def ndg_hint(self, co):
+        """Polynomial that must not vanish for the step to be solvable."""
+        return None
+
+    def parse_error(self) -> str | None:
+        """Why the text of this step is rejected outright, or None."""
+        return None
+
+    def solve(self, pts, draw):
+        """Exact (x, y) of the new point, or None on a degenerate draw."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
-class Fixed:
+class Free(Step, keyword="free"):
+    point: str
+    roles = (PARAM, PARAM)
+
+    def solve(self, pts, draw):
+        return draw(), draw()
+
+
+@dataclass(frozen=True)
+class Fixed(Step, keyword="fixed"):
     point: str
     x: Fraction
     y: Fraction
+    roles = (CONSTANT, CONSTANT)
 
-    def references(self):
-        return ()
+    def solve(self, pts, draw):
+        return self.x, self.y
 
 
 @dataclass(frozen=True)
-class Midpoint:
+class Midpoint(Step, keyword="midpoint"):
     point: str
     a: str
     b: str
 
-    def references(self):
-        return (self.a, self.b)
+    def asserts(self):
+        return (MidpointOf(self.point, self.a, self.b),)
+
+    def solve(self, pts, draw):
+        (xa, ya), (xb, yb) = pts[self.a], pts[self.b]
+        return (xa + xb) / 2, (ya + yb) / 2
 
 
 @dataclass(frozen=True)
-class OnLine:
+class OnLine(Step, keyword="on_line"):
     point: str
     a: str
     b: str
+    roles = (PARAM, DEPENDENT)
 
-    def references(self):
-        return (self.a, self.b)
+    def asserts(self):
+        return (Collinear(self.point, self.a, self.b),)
+
+    def ndg_hint(self, co):
+        return co.x(self.b) - co.x(self.a)
+
+    def degenerate(self):
+        if self.a == self.b:
+            return "line through a single point is undetermined"
+        return None
+
+    def solve(self, pts, draw):
+        (xa, ya), (xb, yb) = pts[self.a], pts[self.b]
+        if xa == xb:
+            return None
+        x = draw()
+        return x, ya + (x - xa) * (yb - ya) / (xb - xa)
 
 
 @dataclass(frozen=True)
-class InterLL:
+class InterLL(Step, keyword="inter"):
     point: str
     a: str
     b: str
     c: str
     d: str
 
-    def references(self):
-        return (self.a, self.b, self.c, self.d)
+    def asserts(self):
+        return (Collinear(self.point, self.a, self.b),
+                Collinear(self.point, self.c, self.d))
+
+    def ndg_hint(self, co):
+        return co.cross(self.a, self.b, self.c, self.d)
+
+    def degenerate(self):
+        if self.a == self.b or self.c == self.d:
+            return "a defining line collapses to a point"
+        return None
+
+    def parse_error(self):
+        if {self.a, self.b} == {self.c, self.d}:
+            return "inter: the two lines coincide"
+        return None
+
+    def solve(self, pts, draw):
+        (xa, ya), (xb, yb) = pts[self.a], pts[self.b]
+        (xc, yc), (xd, yd) = pts[self.c], pts[self.d]
+        a1, b1 = -(yb - ya), xb - xa
+        c1 = a1 * xa + b1 * ya
+        a2, b2 = -(yd - yc), xd - xc
+        c2 = a2 * xc + b2 * yc
+        det = a1 * b2 - a2 * b1
+        if det == 0:
+            return None
+        return (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
 
 
 @dataclass(frozen=True)
-class Foot:
+class Foot(Step, keyword="foot"):
     point: str
     src: str
     a: str
     b: str
 
-    def references(self):
-        return (self.src, self.a, self.b)
+    def asserts(self):
+        return (Collinear(self.point, self.a, self.b),
+                Perpendicular(self.src, self.point, self.a, self.b))
+
+    def ndg_hint(self, co):
+        return co.dist2(self.a, self.b)
+
+    def degenerate(self):
+        if self.a == self.b:
+            return "foot on a zero-length segment is undetermined"
+        return None
+
+    def solve(self, pts, draw):
+        (xp, yp) = pts[self.src]
+        (xa, ya), (xb, yb) = pts[self.a], pts[self.b]
+        dx, dy = xb - xa, yb - ya
+        d2 = dx * dx + dy * dy
+        if d2 == 0:
+            return None
+        t = ((xp - xa) * dx + (yp - ya) * dy) / d2
+        return xa + t * dx, ya + t * dy
 
 
 @dataclass(frozen=True)
-class OnCircle:
+class OnCircle(Step, keyword="on_circle"):
     point: str
     center: str
     through: str
+    roles = (PARAM, DEPENDENT)
 
-    def references(self):
-        return (self.center, self.through)
+    def asserts(self):
+        return (OnCircleOf(self.point, self.center, self.through),)
+
+    def degenerate(self):
+        if self.center == self.through:
+            return "circle of radius zero"
+        return None
+
+    def solve(self, pts, draw):
+        (xo, yo) = pts[self.center]
+        (xa, ya) = pts[self.through]
+        # rational point on the unit circle via the half-angle chord
+        t = draw()
+        den = 1 + t * t
+        c, s = (1 - t * t) / den, 2 * t / den
+        vx, vy = xa - xo, ya - yo
+        return xo + c * vx - s * vy, yo + s * vx + c * vy
 
 
 @dataclass(frozen=True)
-class Circumcenter:
+class Circumcenter(Step, keyword="circumcenter"):
     point: str
     a: str
     b: str
     c: str
 
-    def references(self):
-        return (self.a, self.b, self.c)
+    def asserts(self):
+        return (EqDist(self.point, self.a, self.point, self.b),
+                EqDist(self.point, self.a, self.point, self.c))
 
+    def ndg_hint(self, co):
+        return co.collinear(self.a, self.b, self.c)
 
-ConstructionStep = (Free, Fixed, Midpoint, OnLine, InterLL, Foot, OnCircle,
-                    Circumcenter)
+    def degenerate(self):
+        if len({self.a, self.b, self.c}) < 3:
+            return "circumcenter of a degenerate triangle"
+        return None
 
-
-# ---------------------------------------------------------------------------
-# predicates
-
-@dataclass(frozen=True)
-class Collinear:
-    a: str
-    b: str
-    c: str
-
-    def points(self):
-        return (self.a, self.b, self.c)
-
-
-@dataclass(frozen=True)
-class Parallel:
-    a: str
-    b: str
-    c: str
-    d: str
-
-    def points(self):
-        return (self.a, self.b, self.c, self.d)
-
-
-@dataclass(frozen=True)
-class Perpendicular:
-    a: str
-    b: str
-    c: str
-    d: str
-
-    def points(self):
-        return (self.a, self.b, self.c, self.d)
-
-
-@dataclass(frozen=True)
-class EqDist:
-    a: str
-    b: str
-    c: str
-    d: str
-
-    def points(self):
-        return (self.a, self.b, self.c, self.d)
-
-
-@dataclass(frozen=True)
-class MidpointOf:
-    m: str
-    a: str
-    b: str
-
-    def points(self):
-        return (self.m, self.a, self.b)
-
-
-@dataclass(frozen=True)
-class OnCircleOf:
-    p: str
-    center: str
-    through: str
-
-    def points(self):
-        return (self.p, self.center, self.through)
-
-
-Predicate = (Collinear, Parallel, Perpendicular, EqDist, MidpointOf,
-             OnCircleOf)
+    def solve(self, pts, draw):
+        (xa, ya), (xb, yb) = pts[self.a], pts[self.b]
+        (xc, yc) = pts[self.c]
+        a1, b1 = 2 * (xb - xa), 2 * (yb - ya)
+        c1 = xb * xb + yb * yb - xa * xa - ya * ya
+        a2, b2 = 2 * (xc - xa), 2 * (yc - ya)
+        c2 = xc * xc + yc * yc - xa * xa - ya * ya
+        det = a1 * b2 - a2 * b1
+        if det == 0:
+            return None
+        return (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
 
 
 @dataclass(frozen=True)
@@ -252,15 +474,6 @@ _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _RAT = re.compile(r"-?\d+(?:/\d+)?\Z")
 _TOKEN = re.compile(r"\S+")
 _META = re.compile(r"^#[ \t]?meta:[ \t]?(.*)$")
-
-_STEP_KEYWORDS = {
-    "fixed": 1, "free": 1, "midpoint": 3, "on_line": 3, "inter": 5,
-    "foot": 4, "on_circle": 3, "circumcenter": 4,
-}
-_PRED_ARITY = {
-    "collinear": 3, "parallel": 4, "perpendicular": 4, "eqdist": 4,
-    "midpoint_of": 3, "on_circle_of": 3,
-}
 
 
 def _tokens(line: str):
@@ -288,6 +501,14 @@ def _require_ident(tok: str, lineno: int, col: int) -> str:
     return tok
 
 
+def _step_arity_message(cls, got: int) -> str:
+    # a step over earlier points counts them; the others spell out their form
+    form = cls._form
+    if len(form) > 1 and "RAT" not in form:
+        return f"{cls.keyword} takes {len(form)} points, got {got}"
+    return f"{cls.keyword} takes {' '.join(form)}"
+
+
 def parse_problem(text: str) -> Problem:
     """Parse problem text; identical input bytes give identical Problems."""
     lines = text.splitlines()
@@ -296,7 +517,6 @@ def parse_problem(text: str) -> Problem:
     steps: list = []
     conjectures: list = []
     declared: set[str] = set()
-    header_line = None
     last_line = 0
 
     def check_defined(name, lineno, col):
@@ -331,7 +551,6 @@ def parse_problem(text: str) -> Problem:
                 raise ProblemSyntaxError(lineno, kcol,
                                          "header is 'problem IDENT'")
             problem_id = _require_ident(toks[1][0], lineno, toks[1][1])
-            header_line = lineno
             continue
 
         if keyword == "conjecture":
@@ -339,70 +558,40 @@ def parse_problem(text: str) -> Problem:
                 raise ProblemSyntaxError(lineno, kcol,
                                          "conjecture needs a predicate")
             pred, pcol = toks[1]
-            if pred not in _PRED_ARITY:
+            cls = PREDICATES.get(pred)
+            if cls is None:
                 raise ProblemSyntaxError(lineno, pcol,
                                          f"unknown predicate {pred!r}")
             args = toks[2:]
-            want = _PRED_ARITY[pred]
+            want = len(cls._form)
             if len(args) != want:
                 raise BadArityError(lineno, pcol, pred, want, len(args))
-            names = [check_defined(t, lineno, c) for t, c in args]
-            if pred == "collinear":
-                conjectures.append(Collinear(*names))
-            elif pred == "parallel":
-                conjectures.append(Parallel(*names))
-            elif pred == "perpendicular":
-                conjectures.append(Perpendicular(*names))
-            elif pred == "eqdist":
-                conjectures.append(EqDist(*names))
-            elif pred == "midpoint_of":
-                conjectures.append(MidpointOf(*names))
-            else:
-                conjectures.append(OnCircleOf(*names))
+            conjectures.append(cls(*[check_defined(t, lineno, c)
+                                     for t, c in args]))
             continue
 
-        if keyword not in _STEP_KEYWORDS:
+        cls = STEPS.get(keyword)
+        if cls is None:
             raise ProblemSyntaxError(lineno, kcol,
                                      f"unknown statement {keyword!r}")
         if conjectures:
             raise ProblemSyntaxError(lineno, kcol,
                                      "construction statements must precede conjectures")
         args = toks[1:]
-
-        if keyword == "fixed":
-            if len(args) != 3:
-                raise ProblemSyntaxError(lineno, kcol, "fixed takes IDENT RAT RAT")
-            name = check_fresh(args[0][0], lineno, args[0][1])
-            x = _parse_rational(args[1][0], lineno, args[1][1])
-            y = _parse_rational(args[2][0], lineno, args[2][1])
-            steps.append(Fixed(name, x, y))
-        elif keyword == "free":
-            if len(args) != 1:
-                raise ProblemSyntaxError(lineno, kcol, "free takes IDENT")
-            steps.append(Free(check_fresh(args[0][0], lineno, args[0][1])))
-        else:
-            want = _STEP_KEYWORDS[keyword]
-            if len(args) != want:
-                raise ProblemSyntaxError(
-                    lineno, kcol, f"{keyword} takes {want} points, got {len(args)}")
-            fresh = check_fresh(args[0][0], lineno, args[0][1])
-            rest = [check_defined(t, lineno, c) for t, c in args[1:]]
-            if keyword == "midpoint":
-                steps.append(Midpoint(fresh, *rest))
-            elif keyword == "on_line":
-                steps.append(OnLine(fresh, *rest))
-            elif keyword == "inter":
-                if {rest[0], rest[1]} == {rest[2], rest[3]}:
-                    raise ProblemSyntaxError(lineno, kcol,
-                                             "inter: the two lines coincide")
-                steps.append(InterLL(fresh, *rest))
-            elif keyword == "foot":
-                steps.append(Foot(fresh, *rest))
-            elif keyword == "on_circle":
-                steps.append(OnCircle(fresh, *rest))
-            else:
-                steps.append(Circumcenter(fresh, *rest))
-        declared.add(steps[-1].point)
+        form = cls._form
+        if len(args) != len(form):
+            raise ProblemSyntaxError(lineno, kcol,
+                                     _step_arity_message(cls, len(args)))
+        values = [check_fresh(args[0][0], lineno, args[0][1])]
+        for (tok, col), kind in zip(args[1:], form[1:]):
+            values.append(_parse_rational(tok, lineno, col) if kind == "RAT"
+                          else check_defined(tok, lineno, col))
+        step = cls(*values)
+        reason = step.parse_error()
+        if reason:
+            raise ProblemSyntaxError(lineno, kcol, reason)
+        steps.append(step)
+        declared.add(step.point)
 
     if problem_id is None:
         raise ProblemSyntaxError(max(last_line, 1), 1, "missing problem header")
@@ -415,113 +604,35 @@ def parse_problem(text: str) -> Problem:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _format_rational(q: Fraction) -> str:
-    return str(q)  # lowest terms, sign on the numerator
-
-
 def render_problem(p: Problem) -> str:
     """Canonical text; parse_problem(render_problem(p)) equals p."""
     out = [f"problem {p.id}"]
     if p.meta:
         out.extend(f"# meta: {line}" for line in p.meta.splitlines())
-    for s in p.steps:
-        if isinstance(s, Fixed):
-            out.append(f"fixed {s.point} {_format_rational(s.x)} {_format_rational(s.y)}")
-        elif isinstance(s, Free):
-            out.append(f"free {s.point}")
-        elif isinstance(s, Midpoint):
-            out.append(f"midpoint {s.point} {s.a} {s.b}")
-        elif isinstance(s, OnLine):
-            out.append(f"on_line {s.point} {s.a} {s.b}")
-        elif isinstance(s, InterLL):
-            out.append(f"inter {s.point} {s.a} {s.b} {s.c} {s.d}")
-        elif isinstance(s, Foot):
-            out.append(f"foot {s.point} {s.src} {s.a} {s.b}")
-        elif isinstance(s, OnCircle):
-            out.append(f"on_circle {s.point} {s.center} {s.through}")
-        elif isinstance(s, Circumcenter):
-            out.append(f"circumcenter {s.point} {s.a} {s.b} {s.c}")
-        else:
-            raise TypeError(f"unknown step {s!r}")
-    for c in p.conjectures:
-        if isinstance(c, Collinear):
-            out.append(f"conjecture collinear {c.a} {c.b} {c.c}")
-        elif isinstance(c, Parallel):
-            out.append(f"conjecture parallel {c.a} {c.b} {c.c} {c.d}")
-        elif isinstance(c, Perpendicular):
-            out.append(f"conjecture perpendicular {c.a} {c.b} {c.c} {c.d}")
-        elif isinstance(c, EqDist):
-            out.append(f"conjecture eqdist {c.a} {c.b} {c.c} {c.d}")
-        elif isinstance(c, MidpointOf):
-            out.append(f"conjecture midpoint_of {c.m} {c.a} {c.b}")
-        elif isinstance(c, OnCircleOf):
-            out.append(f"conjecture on_circle_of {c.p} {c.center} {c.through}")
-        else:
-            raise TypeError(f"unknown predicate {c!r}")
+    out.extend(s.render() for s in p.steps)
+    out.extend(f"conjecture {c.render()}" for c in p.conjectures)
     return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # validation
 
-def _degenerate_predicate(pred) -> str | None:
-    """Reason the predicate translates to the zero polynomial, or None."""
-    if isinstance(pred, Collinear):
-        if len({pred.a, pred.b, pred.c}) < 3:
-            return "repeated point makes collinearity vacuous"
-    elif isinstance(pred, Parallel):
-        if pred.a == pred.b or pred.c == pred.d:
-            return "a zero-length segment is parallel to anything"
-        if {pred.a, pred.b} == {pred.c, pred.d}:
-            return "a line is trivially parallel to itself"
-    elif isinstance(pred, Perpendicular):
-        if pred.a == pred.b or pred.c == pred.d:
-            return "a zero-length segment is perpendicular to anything"
-    elif isinstance(pred, EqDist):
-        if {pred.a, pred.b} == {pred.c, pred.d}:
-            return "a segment always equals itself"
-        if pred.a == pred.b and pred.c == pred.d:
-            return "two zero-length segments are always equal"
-    elif isinstance(pred, MidpointOf):
-        if pred.m == pred.a == pred.b:
-            return "a point is trivially the midpoint of itself"
-    elif isinstance(pred, OnCircleOf):
-        if pred.p == pred.through:
-            return "the defining point is trivially on its circle"
-    return None
-
-
-def _degenerate_step(step) -> str | None:
-    if isinstance(step, OnLine) and step.a == step.b:
-        return "line through a single point is undetermined"
-    if isinstance(step, InterLL) and (step.a == step.b or step.c == step.d):
-        return "a defining line collapses to a point"
-    if isinstance(step, Foot) and step.a == step.b:
-        return "foot on a zero-length segment is undetermined"
-    if isinstance(step, OnCircle) and step.center == step.through:
-        return "circle of radius zero"
-    if isinstance(step, Circumcenter) and len({step.a, step.b, step.c}) < 3:
-        return "circumcenter of a degenerate triangle"
-    return None
-
-
 def validate_problem(p: Problem) -> list[ValidationWarning]:
     """Deterministic structural warnings; never raises on a parsed Problem."""
     warnings: list[ValidationWarning] = []
     for s in p.steps:
-        reason = _degenerate_step(s)
+        reason = s.degenerate()
         if reason:
             warnings.append(ValidationWarning("degenerate-step", s.point, reason))
     for i, c in enumerate(p.conjectures):
-        reason = _degenerate_predicate(c)
+        reason = c.degenerate()
         if reason:
             warnings.append(ValidationWarning(
                 "degenerate-predicate", f"conjecture {i + 1}", reason))
-    used: set[str] = set()
-    for s in p.steps:
-        used.update(s.references())
+    # points named after the one a step introduces; rationals are not points
+    used = {a for s in p.steps for a in s.args()[1:] if isinstance(a, str)}
     for c in p.conjectures:
-        used.update(c.points())
+        used.update(c.args())
     for s in p.steps:
         if s.point not in used:
             warnings.append(ValidationWarning(

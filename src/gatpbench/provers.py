@@ -21,6 +21,7 @@ the exit-code protocol: 0 proved, 1 unproved, anything else an error.
 from __future__ import annotations
 
 import enum
+import functools
 import os
 import random
 import resource
@@ -237,6 +238,23 @@ def _canonical_ndg(polys) -> tuple:
     return tuple(out)
 
 
+class _ProofRun:
+    """Budget, cpu clock and trace lines of one built-in proof attempt."""
+
+    def __init__(self, timeout_seconds: float | None):
+        self.deadline = Deadline(timeout_seconds)
+        self.t0c = time.thread_time()
+        self.lines: list[str] = []
+
+    def outcome(self, status: Status, ndg: tuple = (),
+                message: str = "") -> ProofOutcome:
+        return ProofOutcome(
+            status=status, ndg_conditions=ndg,
+            trace="\n".join(self.lines) if self.lines else None,
+            cpu_seconds=time.thread_time() - self.t0c,
+            wall_seconds=self.deadline.elapsed(), message=message)
+
+
 def wu_prove(system: PolynomialSystem,
              timeout_seconds: float | None = None,
              trace: bool = False) -> ProofOutcome:
@@ -246,51 +264,43 @@ def wu_prove(system: PolynomialSystem,
     conjecture holds wherever the chain initials and the constructor hints
     do not vanish.
     """
-    deadline = Deadline(timeout_seconds)
-    t0c = time.thread_time()
-    lines: list[str] = []
+    run = _ProofRun(timeout_seconds)
+    deadline = run.deadline
     chain: list[ChainMember] | None = None
-
-    def outcome(status, ndg=(), message=""):
-        return ProofOutcome(
-            status=status, ndg_conditions=ndg,
-            trace="\n".join(lines) if lines else None,
-            cpu_seconds=time.thread_time() - t0c,
-            wall_seconds=deadline.elapsed(), message=message)
 
     try:
         for i, g in enumerate(system.conclusions, start=1):
             if g.is_zero():
                 if trace:
-                    lines.append(f"conclusion {i}: identically zero")
+                    run.lines.append(f"conclusion {i}: identically zero")
                 continue
             if chain is None:
                 chain = wu_triangulate(system, deadline)
                 if trace:
-                    lines.append("ascending chain:")
+                    run.lines.append("ascending chain:")
                     for m in chain:
-                        lines.append(f"  [{m.main_var}] {m.poly}")
+                        run.lines.append(f"  [{m.main_var}] {m.poly}")
             r = g
             for member in reversed(chain):
                 if r.degree_in(member.main_var) >= member.poly.degree_in(member.main_var):
                     r = pseudo_divide(r, member.poly, member.main_var, deadline)[1]
                 deadline.check()
             if not r.is_zero():
-                lines.append(f"conclusion {i}: nonzero final remainder {r}")
-                return outcome(Status.UNPROVED)
+                run.lines.append(f"conclusion {i}: nonzero final remainder {r}")
+                return run.outcome(Status.UNPROVED)
             if trace:
-                lines.append(f"conclusion {i}: remainder zero")
+                run.lines.append(f"conclusion {i}: remainder zero")
     except DeadlineExceeded:
-        return outcome(Status.TIMEOUT)
+        return run.outcome(Status.TIMEOUT)
     except TriangulateError as e:
-        return outcome(Status.ERROR, message=str(e))
+        return run.outcome(Status.ERROR, message=str(e))
 
     initials = [m.initial for m in chain] if chain else []
     ndg = _canonical_ndg(list(initials) + list(system.ndg_hints))
     if trace and ndg:
         for p in ndg:
-            lines.append(f"nondegeneracy: {p} != 0")
-    return outcome(Status.PROVED, ndg=ndg)
+            run.lines.append(f"nondegeneracy: {p} != 0")
+    return run.outcome(Status.PROVED, ndg=ndg)
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +322,8 @@ def groebner_prove(system: PolynomialSystem,
     """
     if mode not in (GENERIC, STRICT):
         raise ValueError(f"unknown mode {mode!r}")
-    deadline = Deadline(timeout_seconds)
-    t0c = time.thread_time()
-    lines: list[str] = []
-
-    def outcome(status, ndg=(), message=""):
-        return ProofOutcome(
-            status=status, ndg_conditions=ndg,
-            trace="\n".join(lines) if lines else None,
-            cpu_seconds=time.thread_time() - t0c,
-            wall_seconds=deadline.elapsed(), message=message)
+    run = _ProofRun(timeout_seconds)
+    deadline = run.deadline
 
     names = ({v.name for v in system.params}
              | {v.name for v in system.dependents})
@@ -350,29 +352,29 @@ def groebner_prove(system: PolynomialSystem,
         for i, g in enumerate(system.conclusions, start=1):
             if g.is_zero():
                 if trace:
-                    lines.append(f"conclusion {i}: identically zero")
+                    run.lines.append(f"conclusion {i}: identically zero")
                 continue
             gens = list(system.hypotheses) + extra
             gens.append(1 - Polynomial.variable("z") * g)
             basis = buchberger(gens, order, deadline)
             if not is_unit_basis(basis):
-                lines.append(
+                run.lines.append(
                     f"conclusion {i}: not in the radical "
                     f"(basis of {len(basis)} elements, no unit)")
-                return outcome(Status.UNPROVED)
+                return run.outcome(Status.UNPROVED)
             if trace:
-                lines.append(f"conclusion {i}: radical membership confirmed")
+                run.lines.append(f"conclusion {i}: radical membership confirmed")
     except DeadlineExceeded:
-        return outcome(Status.TIMEOUT)
+        return run.outcome(Status.TIMEOUT)
     except TriangulateError as e:
-        return outcome(Status.ERROR, message=str(e))
+        return run.outcome(Status.ERROR, message=str(e))
 
     if mode == STRICT:
         ndg = ()
     if trace and ndg:
         for p in ndg:
-            lines.append(f"nondegeneracy: {p} != 0")
-    return outcome(Status.PROVED, ndg=ndg)
+            run.lines.append(f"nondegeneracy: {p} != 0")
+    return run.outcome(Status.PROVED, ndg=ndg)
 
 
 # ---------------------------------------------------------------------------
@@ -407,71 +409,18 @@ def solve_construction(problem: pr.Problem, rng: random.Random):
     """One exact rational model of the construction, or None when the draw
     hits a degenerate configuration (vertical base line, parallel lines,
     flat triangle)."""
+    draw = functools.partial(_rand, rng)
     pts: dict = {}
     for step in problem.steps:
-        if isinstance(step, pr.Fixed):
-            pts[step.point] = (step.x, step.y)
-        elif isinstance(step, pr.Free):
-            pts[step.point] = (_rand(rng), _rand(rng))
-        elif isinstance(step, pr.Midpoint):
-            (xa, ya), (xb, yb) = pts[step.a], pts[step.b]
-            pts[step.point] = ((xa + xb) / 2, (ya + yb) / 2)
-        elif isinstance(step, pr.OnLine):
-            (xa, ya), (xb, yb) = pts[step.a], pts[step.b]
-            if xa == xb:
-                return None
-            x = _rand(rng)
-            pts[step.point] = (x, ya + (x - xa) * (yb - ya) / (xb - xa))
-        elif isinstance(step, pr.InterLL):
-            (xa, ya), (xb, yb) = pts[step.a], pts[step.b]
-            (xc, yc), (xd, yd) = pts[step.c], pts[step.d]
-            a1, b1 = -(yb - ya), xb - xa
-            c1 = a1 * xa + b1 * ya
-            a2, b2 = -(yd - yc), xd - xc
-            c2 = a2 * xc + b2 * yc
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                return None
-            pts[step.point] = ((c1 * b2 - c2 * b1) / det,
-                               (a1 * c2 - a2 * c1) / det)
-        elif isinstance(step, pr.Foot):
-            (xp, yp) = pts[step.src]
-            (xa, ya), (xb, yb) = pts[step.a], pts[step.b]
-            dx, dy = xb - xa, yb - ya
-            d2 = dx * dx + dy * dy
-            if d2 == 0:
-                return None
-            t = ((xp - xa) * dx + (yp - ya) * dy) / d2
-            pts[step.point] = (xa + t * dx, ya + t * dy)
-        elif isinstance(step, pr.OnCircle):
-            (xo, yo) = pts[step.center]
-            (xa, ya) = pts[step.through]
-            # rational point on the unit circle via the half-angle chord
-            t = _rand(rng)
-            den = 1 + t * t
-            c, s = (1 - t * t) / den, 2 * t / den
-            vx, vy = xa - xo, ya - yo
-            pts[step.point] = (xo + c * vx - s * vy, yo + s * vx + c * vy)
-        elif isinstance(step, pr.Circumcenter):
-            (xa, ya), (xb, yb) = pts[step.a], pts[step.b]
-            (xc, yc) = pts[step.c]
-            a1, b1 = 2 * (xb - xa), 2 * (yb - ya)
-            c1 = xb * xb + yb * yb - xa * xa - ya * ya
-            a2, b2 = 2 * (xc - xa), 2 * (yc - ya)
-            c2 = xc * xc + yc * yc - xa * xa - ya * ya
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                return None
-            pts[step.point] = ((c1 * b2 - c2 * b1) / det,
-                               (a1 * c2 - a2 * c1) / det)
-        else:
-            raise TypeError(f"unknown step {step!r}")
+        xy = step.solve(pts, draw)
+        if xy is None:
+            return None
+        pts[step.point] = xy
     return pts
 
 
 def _has_random_choice(problem: pr.Problem) -> bool:
-    return any(isinstance(s, (pr.Free, pr.OnLine, pr.OnCircle))
-               for s in problem.steps)
+    return any(pr.PARAM in s.roles for s in problem.steps)
 
 
 def _model_env(system: PolynomialSystem, model: dict) -> dict:

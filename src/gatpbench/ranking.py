@@ -67,14 +67,12 @@ def classify_time(seconds: float, status: Status) -> EfficiencyClass:
     return EfficiencyClass.UNSUITABLE
 
 
-def de_bruijn_factor(informal_size: int, formal_size: int,
-                     compressed: bool = False) -> Fraction:
+def de_bruijn_factor(informal_size: int, formal_size: int) -> Fraction:
     """Exact informal/formal size ratio.
 
     A value below 1 means the formal text is the larger one; swapping the
-    arguments gives the reciprocal.  `compressed` records that the sizes
-    were measured after stream compression (the "apparent" variant); the
-    ratio itself is computed the same way.
+    arguments gives the reciprocal.  Sizes measured after stream
+    compression (the "apparent" variant) give a ratio computed the same way.
     """
     if informal_size <= 0 or formal_size <= 0:
         raise ZeroSizeError("both sizes must be positive")
@@ -88,7 +86,7 @@ def de_bruijn_factor_text(informal, formal, compressed: bool = False) -> Fractio
     if compressed:
         enc_i = zlib.compress(enc_i)
         enc_f = zlib.compress(enc_f)
-    return de_bruijn_factor(len(enc_i), len(enc_f), compressed)
+    return de_bruijn_factor(len(enc_i), len(enc_f))
 
 
 def _modal_status(statuses) -> Status:
@@ -241,17 +239,21 @@ def _normalized_rank(position: int, n: int) -> Fraction:
     return Fraction(position - 1, n - 1)
 
 
+def _check_weights(weights: dict) -> None:
+    for dim, w in weights.items():
+        if dim not in DIMENSIONS:
+            raise RankingError(f"unknown dimension {dim!r}")
+        if w < 0:
+            raise NegativeWeightError(dim, w)
+
+
 def aggregate_scores(profiles, weights: dict) -> dict:
     """Weighted sum of normalized per-dimension ranks, smaller is better.
 
     Scaling every weight by one positive constant scales every score by the
     same constant, so the induced order never changes.
     """
-    for dim, w in weights.items():
-        if dim not in DIMENSIONS:
-            raise RankingError(f"unknown dimension {dim!r}")
-        if w < 0:
-            raise NegativeWeightError(dim, w)
+    _check_weights(weights)
     n = len(profiles)
     scores = {p.prover_id: Fraction(0) for p in profiles}
     for dim, w in weights.items():
@@ -387,11 +389,7 @@ def rank_report(profiles, weights: dict | None = None,
     if weights is not None and any(weights.values()):
         aggregate = aggregate_scores(profiles, weights)
     elif weights:
-        for dim, w in weights.items():  # still surface bad input
-            if dim not in DIMENSIONS:
-                raise RankingError(f"unknown dimension {dim!r}")
-            if w < 0:
-                raise NegativeWeightError(dim, w)
+        _check_weights(weights)  # still surface bad input
     return RankingReport(profiles=profiles, dimension_order=order,
                          weights=dict(weights) if weights else None,
                          aggregate=aggregate, provenance=provenance)

@@ -33,9 +33,10 @@ class TestTimeoutResolution:
         monkeypatch.setenv("GATPBENCH_TIMEOUT", "soon")
         with pytest.raises(UsageError):
             resolve_timeout(None)
-        monkeypatch.setenv("GATPBENCH_TIMEOUT", "-3")
-        with pytest.raises(UsageError):
-            resolve_timeout(None)
+        for bad in ("-3", "nan", "inf", "-inf"):
+            monkeypatch.setenv("GATPBENCH_TIMEOUT", bad)
+            with pytest.raises(UsageError):
+                resolve_timeout(None)
 
 
 class TestProve:
@@ -73,6 +74,10 @@ class TestProve:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["prove", geo("GEO0001"), "--wat"]) == 2
+
+    @pytest.mark.parametrize("budget", ["0", "nan", "inf"])
+    def test_bad_timeout_flag_is_usage_error(self, capsys, budget):
+        assert main(["prove", geo("GEO0001"), "--timeout", budget]) == 2
 
 
 class TestCheck:

@@ -4,16 +4,22 @@ One sha256 digest covers what parsing, rendering, validation,
 algebraization, the sampling oracle's constructor and Wu's method make of
 the bundled corpus, of degenerate-but-valid problems and of malformed
 texts.  Any change to what a construct or predicate means changes the
-digest; a pure refactor leaves it alone.
+digest; a pure refactor leaves it alone.  A second test runs every
+construct of the table through parse, render, algebraize and the oracle's
+constructor.
 """
 
 import hashlib
 import random
+from dataclasses import fields
+from fractions import Fraction
 
-from gatpbench.algebraize import AlgebraizeError, algebraize
+import pytest
+
+from gatpbench.algebraize import AlgebraizeError, Variable, algebraize
 from gatpbench.corpus import bundled_manifest_path, load_corpus
-from gatpbench.problems import (ParseError, parse_problem, render_problem,
-                                validate_problem)
+from gatpbench.problems import (PREDICATES, STEPS, ParseError, parse_problem,
+                                render_problem, validate_problem)
 from gatpbench.provers import solve_construction, wu_prove
 
 GOLDEN_DIGEST = (
@@ -150,3 +156,44 @@ def fingerprint_lines():
 def test_golden_digest():
     digest = hashlib.sha256("\n".join(fingerprint_lines()).encode())
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+# Every construct of the table, used once on generic free points; a new
+# construct is covered as soon as it is declared.
+BASE = "problem k\nfree A\nfree B\nfree C\nfree D\n"
+
+
+def _step_text(cls):
+    points, rationals = iter("ABCD"), iter(["1/2", "-3"])
+    args = [next(rationals) if f.type in ("Fraction", Fraction)
+            else next(points) for f in fields(cls)[1:]]
+    return (BASE + " ".join([cls.keyword, "P", *args])
+            + "\nconjecture collinear P A B\n")
+
+
+def _predicate_text(cls):
+    args = "ABCD"[:len(fields(cls))]
+    return BASE + " ".join(["conjecture", cls.keyword, *args]) + "\n"
+
+
+TABLE = ([pytest.param(_step_text(c), id=k) for k, c in STEPS.items()]
+         + [pytest.param(_predicate_text(c), id=k)
+            for k, c in PREDICATES.items()])
+
+
+@pytest.mark.parametrize("text", TABLE)
+def test_construct_round_trips_and_models_satisfy_hypotheses(text):
+    problem = parse_problem(text)
+    assert render_problem(problem) == text
+    system = algebraize(problem)
+    assert system.conclusions
+    rng = random.Random(5)
+    models = [m for m in (solve_construction(problem, rng)
+                          for _ in range(SAMPLES)) if m is not None]
+    assert models
+    for model in models:
+        env = {c.name: v
+               for point, coords in system.assignment.items()
+               for c, v in zip(coords, model[point])
+               if isinstance(c, Variable)}
+        assert all(h.evaluate(env) == 0 for h in system.hypotheses)

@@ -171,9 +171,10 @@ class TestRunSuite:
         corpus = small_corpus("GEO0001")
         with pytest.raises(ValueError):
             RunConfig(provers=(), corpus=corpus)
-        with pytest.raises(ValueError):
-            RunConfig(provers=(wu_descriptor(),), corpus=corpus,
-                      timeout_seconds=0)
+        for budget in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                RunConfig(provers=(wu_descriptor(),), corpus=corpus,
+                          timeout_seconds=budget)
         with pytest.raises(ValueError):
             RunConfig(provers=(wu_descriptor(),), corpus=corpus,
                       repetitions=0)

@@ -103,6 +103,11 @@ class TestWuProver:
         roomy = wu_prove(load("GEO0008"), timeout_seconds=60)
         assert roomy.status is Status.PROVED
 
+    @pytest.mark.parametrize("budget", [0, -1, float("nan"), float("inf")])
+    def test_budget_must_be_positive_and_finite(self, budget):
+        with pytest.raises(ValueError):
+            wu_prove(load("GEO0001"), timeout_seconds=budget)
+
 
 class TestGroebnerProver:
     def test_agrees_with_wu_on_small_sample(self):
