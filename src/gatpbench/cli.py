@@ -207,7 +207,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    records = ResultsStore(args.store).load()
+    store = ResultsStore(args.store)
+    records = store.load()
+    if store.torn_line is not None:
+        print(f"warning: {args.store}: skipped torn last line "
+              f"{store.torn_line} (no trailing newline)", file=sys.stderr)
     if not records:
         raise UsageError(f"store {args.store!r} holds no records")
     corpus = load_corpus(args.corpus) if args.corpus else None

@@ -9,16 +9,16 @@ equal orders yield byte-for-byte equal bases.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 
 from .budget import Deadline
-from .polynomials import Monomial, Polynomial, TermOrder, ZERO, as_polynomial
+from .polynomials import (Polynomial, TermOrder, _add_scaled, _polynomial,
+                          _quotient, as_polynomial)
 
 
 def normal_form(f: Polynomial, basis, order: TermOrder,
                 deadline: Deadline | None = None) -> Polynomial:
     """Remainder of f under multivariate division by basis (in list order)."""
-    return divide(f, basis, order, deadline)[1]
+    return _reduce(f, [as_polynomial(g) for g in basis], order, deadline, None)
 
 
 def divide(f: Polynomial, basis, order: TermOrder,
@@ -30,34 +30,49 @@ def divide(f: Polynomial, basis, order: TermOrder,
     and no remainder term divisible by any basis leading monomial.
     """
     basis = [as_polynomial(g) for g in basis]
-    leads = [(g.leading_monomial(order), g.leading_coeff(order)) if not g.is_zero() else None
-             for g in basis]
-    quotients = [ZERO] * len(basis)
-    remainder = ZERO
-    p = f
-    while not p.is_zero():
+    quotients: list[dict] = [{} for _ in basis]
+    remainder = _reduce(f, basis, order, deadline, quotients)
+    return [_polynomial(q) for q in quotients], remainder
+
+
+def _reduce(f: Polynomial, basis: list, order: TermOrder,
+            deadline: Deadline | None, quotients: list | None) -> Polynomial:
+    """Division of f by basis on one working term map; fills quotients
+    (one dict per basis element) when given."""
+    leads = []
+    for i, g in enumerate(basis):
+        if not g.is_zero():
+            lm = g.leading_monomial(order)
+            tail = dict(g.terms)
+            lc = tail.pop(lm)
+            leads.append((lm, lc, tail, i))
+    key = order.key
+    p = dict(f.terms)
+    remainder = {}
+    while p:
+        lm = max(p, key=key)
+        lc = p.pop(lm)
         if deadline is not None:
             deadline.check()
-        lm = p.leading_monomial(order)
-        lc = p.terms[lm]
-        for i, lead in enumerate(leads):
-            if lead is not None and lead[0].divides(lm):
-                t = lm.divide(lead[0])
-                c = lc / lead[1]
-                quotients[i] = quotients[i] + Polynomial({t: c})
-                p = p - basis[i].term_times(c, t)
+        for glm, glc, tail, i in leads:
+            if glm.divides(lm):
+                t = lm.divide(glm)
+                c = _quotient(lc, glc)
+                if quotients is not None:
+                    quotients[i][t] = c
+                # lm cancels exactly; only the tail of c*t*g is left to add
+                _add_scaled(p, tail, -c, t)
                 break
         else:
-            remainder = remainder + Polynomial({lm: lc})
-            p = p - Polynomial({lm: lc})
-    return quotients, remainder
+            remainder[lm] = lc
+    return _polynomial(remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     lmf, lmg = f.leading_monomial(order), g.leading_monomial(order)
     l = lmf.lcm(lmg)
-    return (f.term_times(1 / f.leading_coeff(order), l.divide(lmf))
-            - g.term_times(1 / g.leading_coeff(order), l.divide(lmg)))
+    return (f.term_times(_quotient(1, f.terms[lmf]), l.divide(lmf))
+            - g.term_times(_quotient(1, g.terms[lmg]), l.divide(lmg)))
 
 
 def buchberger(gens, order: TermOrder,
@@ -76,13 +91,13 @@ def buchberger(gens, order: TermOrder,
         if not h.is_zero():
             basis.append(h.monic(order))
 
+    leads = [g.leading_monomial(order) for g in basis]
     pending: list = []      # heap of (lcm degree, i, j); each pair pushed once
 
     def push_pairs(j: int):
-        lmj = basis[j].leading_monomial(order)
+        lmj = leads[j]
         for i in range(j):
-            l = basis[i].leading_monomial(order).lcm(lmj)
-            heapq.heappush(pending, (l.degree, i, j))
+            heapq.heappush(pending, (leads[i].lcm(lmj).degree, i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
@@ -93,31 +108,31 @@ def buchberger(gens, order: TermOrder,
             deadline.check()
         _, i, j = heapq.heappop(pending)
         pending_set.discard((i, j))
-        lmi = basis[i].leading_monomial(order)
-        lmj = basis[j].leading_monomial(order)
+        lmi, lmj = leads[i], leads[j]
         if lmi.coprime(lmj):
             continue  # coprime-lead criterion
         l = lmi.lcm(lmj)
-        if _chain_criterion(basis, order, i, j, l, pending_set):
+        if _chain_criterion(leads, i, j, l, pending_set):
             continue
         s = s_polynomial(basis[i], basis[j], order)
         h = normal_form(s, basis, order, deadline)
         if h.is_zero():
             continue
         basis.append(h.monic(order))
+        leads.append(basis[-1].leading_monomial(order))
         push_pairs(len(basis) - 1)
         pending_set.update((i2, len(basis) - 1) for i2 in range(len(basis) - 1))
 
     return interreduce(basis, order, deadline)
 
 
-def _chain_criterion(basis, order, i, j, l, pending_set) -> bool:
+def _chain_criterion(leads, i, j, l, pending_set) -> bool:
     # prune (i, j) when some k has lm_k | lcm(i, j) and both (i, k), (j, k)
     # were already handled
-    for k in range(len(basis)):
+    for k, lmk in enumerate(leads):
         if k in (i, j):
             continue
-        if basis[k].leading_monomial(order).divides(l):
+        if lmk.divides(l):
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
             if a not in pending_set and b not in pending_set:

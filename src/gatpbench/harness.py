@@ -149,6 +149,7 @@ class ResultsStore:
     def __init__(self, path):
         self.path = Path(path)
         self._lock = threading.Lock()
+        self.torn_line: int | None = None
 
     def append(self, record: RunRecord) -> None:
         self.append_many([record])
@@ -165,13 +166,23 @@ class ResultsStore:
                 os.fsync(fh.fileno())
 
     def load(self) -> list:
+        """Every record in the file.  A last line that has no newline and
+        does not parse is an append cut short: it is skipped, and its line
+        number kept in torn_line.  Any other bad line raises
+        CorruptRecordError."""
         records = []
+        self.torn_line = None
         with open(self.path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\n")
                 if not line.strip() or line.startswith("#"):
                     continue
-                records.append(parse_record(line, lineno))
+                try:
+                    records.append(parse_record(line, lineno))
+                except CorruptRecordError:
+                    if raw.endswith("\n"):
+                        raise
+                    self.torn_line = lineno
         return records
 
 

@@ -1,10 +1,17 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Variables are plain strings.  Coefficients are fractions.Fraction, so every
-value is an arbitrary-precision rational in lowest terms with a positive
-denominator.  A Polynomial is a map from power products (Monomial) to
-nonzero coefficients; all operations return new objects with zero terms
-pruned, and two polynomials are equal exactly when their term maps are.
+Variables are plain strings.  A coefficient is an exact rational of one of
+two types: an int, or a fractions.Fraction (lowest terms, positive
+denominator), which only division by a coefficient brings in.  Equal
+values of the two types print alike, compare equal and hash alike, so the
+type never shows in output.  Division always goes through Fraction, never
+through float.  Multiplication and Wu pseudo-division are division-free,
+so systems built from integer data stay in int arithmetic there; monic
+scaling and Groebner reduction make fractions.
+
+A Polynomial is a map from power products (Monomial) to nonzero
+coefficients; all operations return new objects with zero terms pruned,
+and two polynomials are equal exactly when their term maps are.
 
 Also here: term orders (lexicographic and degree-reverse-lexicographic),
 exact evaluation, and pseudo-division with respect to a chosen variable.
@@ -31,9 +38,12 @@ class NotUnivariateError(ValueError):
 # monomials
 
 class Monomial:
-    """A power product, e.g. x^2*y.  Stored as a name-sorted exponent tuple."""
+    """A power product, e.g. x^2*y.  Stored as a name-sorted exponent tuple.
 
-    __slots__ = ("exps", "_hash")
+    Products, quotients and lcms merge two sorted tuples in one pass.
+    """
+
+    __slots__ = ("exps", "degree", "_hash")
 
     def __init__(self, exps=()):
         if isinstance(exps, dict):
@@ -43,11 +53,8 @@ class Monomial:
             if e < 0:
                 raise ValueError(f"negative exponent for {v}")
         self.exps = pairs
+        self.degree = sum(e for _, e in pairs)
         self._hash = hash(pairs)
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
 
     def degree_in(self, var: str) -> int:
         for v, e in self.exps:
@@ -62,36 +69,98 @@ class Monomial:
         return not self.exps
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(merged)
+        a, b = self.exps, other.exps
+        if not b:
+            return self
+        if not a:
+            return other
+        out = []
+        i = j = 0
+        na, nb = len(a), len(b)
+        va, vb = a[0][0], b[0][0]
+        while True:
+            if va == vb:
+                out.append((va, a[i][1] + b[j][1]))
+                i += 1
+                j += 1
+                if i == na or j == nb:
+                    break
+                va, vb = a[i][0], b[j][0]
+            elif va < vb:
+                out.append(a[i])
+                i += 1
+                if i == na:
+                    break
+                va = a[i][0]
+            else:
+                out.append(b[j])
+                j += 1
+                if j == nb:
+                    break
+                vb = b[j][0]
+        out += a[i:]
+        out += b[j:]
+        return _monomial(tuple(out), self.degree + other.degree)
 
     def divides(self, other: "Monomial") -> bool:
-        it = dict(other.exps)
-        return all(it.get(v, 0) >= e for v, e in self.exps)
+        if self.degree > other.degree:
+            return False
+        b = other.exps
+        j, nb = 0, len(b)
+        for v, e in self.exps:
+            while j < nb and b[j][0] < v:
+                j += 1
+            if j == nb or b[j][0] != v or b[j][1] < e:
+                return False
+            j += 1
+        return True
 
     def divide(self, other: "Monomial") -> "Monomial":
         """self / other; other must divide self."""
-        merged = dict(self.exps)
+        a = self.exps
+        out = []
+        i, na = 0, len(a)
         for v, e in other.exps:
-            merged[v] = merged.get(v, 0) - e
-            if merged[v] < 0:
+            while i < na and a[i][0] < v:
+                out.append(a[i])
+                i += 1
+            if i == na or a[i][0] != v or a[i][1] < e:
                 raise ValueError("inexact monomial division")
-        return Monomial(merged)
+            if a[i][1] != e:
+                out.append((v, a[i][1] - e))
+            i += 1
+        out += a[i:]
+        return _monomial(tuple(out), self.degree - other.degree)
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = max(merged.get(v, 0), e)
-        return Monomial(merged)
+        a, b = self.exps, other.exps
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            if a[i][0] == b[j][0]:
+                out.append(max(a[i], b[j]))     # same name: bigger exponent
+                i += 1
+                j += 1
+            elif a[i][0] < b[j][0]:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        out += a[i:]
+        out += b[j:]
+        return _monomial(tuple(out), sum(e for _, e in out))
 
     def coprime(self, other: "Monomial") -> bool:
         mine = set(self.variables())
         return not any(v in mine for v in other.variables())
 
     def drop(self, var: str) -> "Monomial":
-        return Monomial((v, e) for v, e in self.exps if v != var)
+        e = self.degree_in(var)
+        if not e:
+            return self
+        return _monomial(tuple(t for t in self.exps if t[0] != var),
+                         self.degree - e)
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
@@ -105,23 +174,65 @@ class Monomial:
         return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self.exps)
 
 
+def _monomial(pairs: tuple, degree: int) -> Monomial:
+    """A Monomial from pairs already sorted by name, exponents all positive."""
+    m = Monomial.__new__(Monomial)
+    m.exps = pairs
+    m.degree = degree
+    m._hash = hash(pairs)
+    return m
+
+
 _ONE = Monomial()
 
 
 # ---------------------------------------------------------------------------
 # term orders
 
+class _OrderKeys(dict):
+    """Monomial -> TermOrder.key, each computed on first use.
+
+    Holds no reference back to its TermOrder, so dropping the order frees
+    the keys at once.
+    """
+
+    __slots__ = ("index", "lex")
+
+    def __init__(self, index: dict, lex: bool):
+        super().__init__()
+        self.index = index
+        self.lex = lex
+
+    def __missing__(self, m: Monomial):
+        evec = [0] * len(self.index)
+        for v, e in m.exps:
+            i = self.index.get(v)
+            if i is None:
+                raise KeyError(f"variable {v} not covered by this order")
+            evec[i] = e
+        if self.lex:
+            k = tuple(evec)
+        else:
+            # degrevlex: grade by total degree, break ties by the reversed
+            # exponent vector with flipped sign (rightmost difference decides)
+            k = (m.degree, tuple(-e for e in reversed(evec)))
+        self[m] = k
+        return k
+
+
 class TermOrder:
     """A monomial order over an explicit variable precedence list.
 
     kind is "lex" or "degrevlex"; vars lists variables from highest to
     lowest precedence.  key(m) is sortable: bigger key, bigger monomial.
+    Each monomial's key is computed once and kept on this order; a proof
+    builds its own order, so its keys are freed with it.
     """
 
     LEX = "lex"
     DEGREVLEX = "degrevlex"
 
-    __slots__ = ("kind", "vars", "_index")
+    __slots__ = ("kind", "vars", "key")
 
     def __init__(self, kind: str, vars):
         if kind not in (self.LEX, self.DEGREVLEX):
@@ -130,38 +241,78 @@ class TermOrder:
         self.vars = tuple(vars)
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("duplicate variable in precedence list")
-        self._index = {v: i for i, v in enumerate(self.vars)}
-
-    def key(self, m: Monomial):
-        evec = [0] * len(self.vars)
-        for v, e in m.exps:
-            i = self._index.get(v)
-            if i is None:
-                raise KeyError(f"variable {v} not covered by this order")
-            evec[i] = e
-        if self.kind == self.LEX:
-            return tuple(evec)
-        # degrevlex: grade by total degree, break ties by the reversed
-        # exponent vector with flipped sign (rightmost difference decides).
-        return (sum(evec), tuple(-e for e in reversed(evec)))
+        index = {v: i for i, v in enumerate(self.vars)}
+        # the cache's own lookup, so sorts and max() over keys stay in C
+        self.key = _OrderKeys(index, kind == self.LEX).__getitem__
 
     def __repr__(self):
         return f"TermOrder({self.kind}, {list(self.vars)})"
 
 
 # ---------------------------------------------------------------------------
-# polynomials
+# coefficients
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coerce(value):
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)       # bool and other int subclasses
     raise TypeError(f"not a rational scalar: {value!r}")
 
 
+def _quotient(a, b):
+    """a / b exactly: an int when b divides a, otherwise a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
+# ---------------------------------------------------------------------------
+# polynomials
+
+def _polynomial(terms: dict) -> "Polynomial":
+    """A Polynomial owning terms, which must hold no zero coefficient."""
+    p = Polynomial.__new__(Polynomial)
+    p.terms = terms
+    return p
+
+
+def _add_scaled(acc: dict, terms: dict, c, mono: Monomial) -> None:
+    """acc += c * mono * terms, in place, pruning cancelled terms."""
+    get = acc.get
+    items = ([(m * mono, k) for m, k in terms.items()] if mono.exps
+             else terms.items())
+    for m, k in items:
+        v = get(m, 0) + c * k
+        if v:
+            acc[m] = v
+        else:
+            del acc[m]
+
+
+def _product(a: dict, b: dict) -> dict:
+    if len(a) < len(b):
+        a, b = b, a
+    out: dict = {}
+    get = out.get
+    for m2, c2 in b.items():
+        for m1, c1 in a.items():
+            m = m1 * m2
+            v = get(m, 0) + c1 * c2
+            if v:
+                out[m] = v
+            else:
+                del out[m]
+    return out
+
+
 class Polynomial:
-    """Sparse polynomial: Monomial -> nonzero Fraction."""
+    """Sparse polynomial: Monomial -> nonzero int or Fraction."""
 
     __slots__ = ("terms",)
 
@@ -188,11 +339,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        return cls({_ONE: _coerce(c)})
+        return cls({_ONE: c})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        return cls({Monomial({name: 1}): Fraction(1)})
+        return cls({Monomial({name: 1}): 1})
 
     # -- predicates and views ----------------------------------------------
 
@@ -202,9 +353,9 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(m.is_one() for m in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return self.terms[_ONE]
@@ -228,11 +379,8 @@ class Polynomial:
 
     def coeff_in(self, var: str, power: int) -> "Polynomial":
         """The coefficient of var**power, a polynomial in the other variables."""
-        out = {}
-        for m, c in self.terms.items():
-            if m.degree_in(var) == power:
-                out[m.drop(var)] = out.get(m.drop(var), Fraction(0)) + c
-        return Polynomial(out)
+        return _polynomial({m.drop(var): c for m, c in self.terms.items()
+                            if m.degree_in(var) == power})
 
     def leading_coeff_in(self, var: str) -> "Polynomial":
         return self.coeff_in(var, self.degree_in(var))
@@ -244,12 +392,14 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def leading_coeff(self, order: TermOrder) -> Fraction:
+    def leading_coeff(self, order: TermOrder):
         return self.terms[self.leading_monomial(order)]
 
     def monic(self, order: TermOrder) -> "Polynomial":
         lc = self.leading_coeff(order)
-        return self if lc == 1 else self * (1 / lc)
+        if lc == 1:
+            return self
+        return _polynomial({m: _quotient(c, lc) for m, c in self.terms.items()})
 
     def sorted_terms(self, order: TermOrder | None = None):
         """Terms in descending canonical order (graded by default)."""
@@ -264,50 +414,29 @@ class Polynomial:
     def __add__(self, other):
         other = as_polynomial(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m, Fraction(0)) + c
-            if acc == 0:
-                out.pop(m, None)
-            else:
-                out[m] = acc
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
+        _add_scaled(out, other.terms, 1, _ONE)
+        return _polynomial(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Polynomial.__new__(Polynomial)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return _polynomial({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-as_polynomial(other))
+        out = dict(self.terms)
+        _add_scaled(out, as_polynomial(other).terms, -1, _ONE)
+        return _polynomial(out)
 
     def __rsub__(self, other):
-        return as_polynomial(other) + (-self)
+        return as_polynomial(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _coerce(other)
             if c == 0:
                 return ZERO
-            p = Polynomial.__new__(Polynomial)
-            p.terms = {m: k * c for m, k in self.terms.items()}
-            return p
-        other = as_polynomial(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                acc = out.get(m, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = acc
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
+            return _polynomial({m: k * c for m, k in self.terms.items()})
+        return _polynomial(_product(self.terms, as_polynomial(other).terms))
 
     __rmul__ = __mul__
 
@@ -323,17 +452,18 @@ class Polynomial:
             n >>= 1
         return result
 
-    def term_times(self, coeff: Fraction, mono: Monomial) -> "Polynomial":
-        """self * coeff * mono, the inner step of division loops."""
-        p = Polynomial.__new__(Polynomial)
-        p.terms = {m * mono: c * coeff for m, c in self.terms.items()}
-        return p
+    def term_times(self, coeff, mono: Monomial) -> "Polynomial":
+        """self * coeff * mono."""
+        c = _coerce(coeff)
+        if c == 0:
+            return ZERO
+        return _polynomial({m * mono: k * c for m, k in self.terms.items()})
 
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, env: dict) -> Fraction:
         """Exact value at a rational point; raises on unbound variables."""
-        total = Fraction(0)
+        total = 0
         for m, c in self.terms.items():
             v = c
             for name, e in m.exps:
@@ -341,7 +471,7 @@ class Polynomial:
                     raise MissingVariableError(name)
                 v *= _coerce(env[name]) ** e
             total += v
-        return total
+        return Fraction(total)
 
     # -- identity ------------------------------------------------------------
 
@@ -404,22 +534,34 @@ def pseudo_divide(f: Polynomial, g: Polynomial, x: str,
     df = f.degree_in(x)
     if f.is_zero() or df < dg:
         return ZERO, f, 0
-    init = g.leading_coeff_in(x)
-    q, r, k = ZERO, f, 0
-    while not r.is_zero():
-        dr = r.degree_in(x)
-        if dr < dg:
-            break
+    init = g.leading_coeff_in(x).terms
+    # g = init * x^dg + tail.  With lc the coefficient of x^dr in r, a step
+    # is r := init * (r - lc * x^dr) - lc * x^(dr-dg) * tail: the x^dr terms
+    # cancel exactly, so they are never formed, and deg_x(r) drops
+    tail = {m: c for m, c in g.terms.items() if m.degree_in(x) < dg}
+    q: dict = {}
+    r = f.terms
+    k = 0
+    dr = df
+    while r and dr >= dg:
         if deadline is not None:
             deadline.check()
-        lc = r.leading_coeff_in(x)
+        lc: dict = {}
+        low: dict = {}
+        for m, c in r.items():
+            if m.degree_in(x) == dr:
+                lc[m.drop(x)] = c
+            else:
+                low[m] = c
         shift = Monomial({x: dr - dg})
-        q = init * q + lc.term_times(Fraction(1), shift)
-        r = init * r - (lc * g).term_times(Fraction(1), shift)
+        q = _product(init, q)
+        _add_scaled(q, lc, 1, shift)
+        r = _product(init, low)
+        for m, c in lc.items():
+            _add_scaled(r, tail, -c, m * shift)
         k += 1
-        # leading terms cancel exactly, so the degree strictly drops
-        assert r.degree_in(x) < dr or r.is_zero()
-    return q, r, k
+        dr = max((m.degree_in(x) for m in r), default=0)
+    return _polynomial(q), _polynomial(r), k
 
 
 def pseudo_remainder(f: Polynomial, g: Polynomial, x: str,

@@ -158,6 +158,23 @@ class TestBenchAndRank:
         main(["rank", "--store", str(store), "--corpus", str(mini_corpus)])
         assert capsys.readouterr().out == one
 
+    def test_rank_skips_and_reports_torn_last_line(self, mini_corpus,
+                                                    tmp_path, capsys):
+        store = tmp_path / "runs.tsv"
+        main(["bench", "--corpus", str(mini_corpus), "--provers", "wu",
+              "--timeout", "20", "--out", str(store)])
+        capsys.readouterr()
+        main(["rank", "--store", str(store), "--corpus", str(mini_corpus)])
+        whole = capsys.readouterr().out
+        lines = store.read_text().splitlines(keepends=True)
+        with open(store, "a") as fh:
+            fh.write(lines[-1][:len(lines[-1]) // 2])
+        assert main(["rank", "--store", str(store), "--corpus",
+                     str(mini_corpus)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == whole
+        assert f"torn last line {len(lines) + 1}" in captured.err
+
     def test_external_prover_flows_through(self, mini_corpus, tmp_path,
                                            capsys):
         stub = tmp_path / "stub.sh"

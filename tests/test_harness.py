@@ -106,6 +106,26 @@ class TestStore:
             ResultsStore(p).load()
         assert info.value.line_number == 3
 
+    def test_torn_last_line_is_skipped(self, tmp_path):
+        p = tmp_path / "s.tsv"
+        store = ResultsStore(p)
+        store.append_many([sample_record(0), sample_record(1)])
+        store.load()
+        assert store.torn_line is None
+        whole = format_record(sample_record(2))
+        with open(p, "a") as fh:
+            fh.write(whole[:len(whole) // 2])     # a writer died mid-record
+        assert store.load() == [sample_record(0), sample_record(1)]
+        assert store.torn_line == 4
+
+    def test_unparsable_line_before_the_last_still_raises(self, tmp_path):
+        p = tmp_path / "s.tsv"
+        whole = format_record(sample_record(0))
+        p.write_text(HEADER + "\n" + whole[:10] + "\n" + whole)
+        with pytest.raises(CorruptRecordError) as info:
+            ResultsStore(p).load()
+        assert info.value.line_number == 2
+
 
 class TestRunSingle:
     def cfg(self, **kw):

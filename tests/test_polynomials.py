@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from gatpbench.groebner import (buchberger, divide, interreduce, normal_form,
+                                s_polynomial)
 from gatpbench.polynomials import (Monomial, NotUnivariateError, Polynomial,
                                    TermOrder, as_polynomial, pseudo_divide,
                                    pseudo_remainder, var)
@@ -77,6 +79,34 @@ class TestStructure:
         assert not m.coprime(n)
         assert Monomial({"y": 1}).coprime(n)
 
+    def test_monomial_merges_match_exponent_arithmetic(self):
+        rng = random.Random(2718)
+        names = "abcdxyz"
+
+        def draw():
+            return {n: rng.randint(0, 3) for n in rng.sample(names, 4)}
+
+        for _ in range(500):
+            da, db = draw(), draw()
+            a, b = Monomial(da), Monomial(db)
+            both = set(da) | set(db)
+            prod = Monomial({n: da.get(n, 0) + db.get(n, 0) for n in both})
+            assert a * b == prod and (a * b).exps == prod.exps
+            assert (a * b).degree == a.degree + b.degree
+            lcm = Monomial({n: max(da.get(n, 0), db.get(n, 0)) for n in both})
+            assert a.lcm(b).exps == lcm.exps
+            assert a.lcm(b).degree == lcm.degree
+            divides = all(db.get(n, 0) >= e for n, e in da.items())
+            assert a.divides(b) == divides
+            if divides:
+                q = b.divide(a)
+                assert q * a == b and q.degree == b.degree - a.degree
+            else:
+                with pytest.raises(ValueError):
+                    b.divide(a)
+            assert a.drop("x").exps == Monomial(
+                {n: e for n, e in da.items() if n != "x"}).exps
+
     def test_to_string_is_stable(self):
         p = 3 * x ** 2 * y - z + Fraction(1, 2)
         assert p.to_string() == (x ** 2 * y * 3 + z * -1
@@ -136,3 +166,66 @@ class TestPseudoDivision:
             assert r.degree_in("x") < g.degree_in("x")
             assert k <= max(f.degree_in("x") - g.degree_in("x") + 1, 0)
             checked += 1
+
+
+def _assert_exact(p):
+    for c in p.terms.values():
+        assert type(c) in (int, Fraction), (type(c), p)
+
+
+class TestExactCoefficients:
+    """Coefficients are ints or Fractions, never floats or bools, whatever
+    mix of types went in; division by an integer coefficient included."""
+
+    def test_every_operation_keeps_coefficients_exact(self):
+        rng = random.Random(1729)
+        drl = TermOrder(TermOrder.DEGREVLEX, ("x", "y", "z"))
+        lex = TermOrder(TermOrder.LEX, ("x", "y", "z"))
+        checked = 0
+        while checked < 60:
+            # scale by 2..5 so leading coefficients are non-monic integers
+            f = random_poly(rng) * rng.randint(2, 5)
+            g = random_poly(rng, terms=3) * rng.randint(2, 5)
+            h = random_poly(rng, terms=2) * Fraction(rng.randint(1, 4), 3)
+            if g.is_zero() or h.is_zero():
+                continue
+            for order in (drl, lex):
+                _assert_exact(f * g)
+                _assert_exact(f * True)
+                _assert_exact(g ** 3)
+                _assert_exact(g.monic(order))
+                _assert_exact(h.monic(order))
+                _assert_exact(s_polynomial(g, h, order))
+                qs, r = divide(f, [g, h], order)
+                for p in qs + [r]:
+                    _assert_exact(p)
+                _assert_exact(normal_form(f, [g, h], order))
+                for p in interreduce([f, g, h], order):
+                    _assert_exact(p)
+                for p in buchberger([g, h], order):
+                    _assert_exact(p)
+            if g.degree_in("x") >= 1:
+                q, r, _ = pseudo_divide(f, g, "x")
+                _assert_exact(q)
+                _assert_exact(r)
+            checked += 1
+
+    def test_integer_division_goes_through_fraction(self):
+        order = TermOrder(TermOrder.LEX, ("x",))
+        p = 3 * x + 2
+        assert p.monic(order).terms[Monomial()] == Fraction(2, 3)
+        _assert_exact(p.monic(order))
+
+    def test_integral_fraction_is_the_integer(self):
+        a, b = Polynomial.constant(Fraction(3)), Polynomial.constant(3)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.to_string() == b.to_string() == "3"
+        _assert_exact(Polynomial.constant(True))
+        assert Polynomial.constant(True) == Polynomial.constant(1)
+
+    def test_floats_are_rejected(self):
+        with pytest.raises(TypeError):
+            Polynomial.constant(1.5)
+        with pytest.raises(TypeError):
+            x * 0.5
