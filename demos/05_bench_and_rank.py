@@ -13,8 +13,9 @@ from gatpbench import (ResultsStore, RunConfig, bundled_manifest_path,
 corpus = load_corpus(bundled_manifest_path())
 provers = (wu_descriptor(), groebner_descriptor())
 
-# a short budget keeps the demo snappy; one hard problem may time out,
-# which is itself a result worth ranking
+# a short budget keeps a stuck prover from stalling the demo; both built-in
+# provers decide every bundled problem well within it, and a timeout would
+# itself be a result worth ranking
 cfg = RunConfig(provers=provers, corpus=corpus, timeout_seconds=5.0,
                 repetitions=1, parallelism=2)
 

@@ -1,9 +1,11 @@
 """Groebner bases over the rationals: multivariate division and Buchberger.
 
-Pair selection is by ascending lcm degree; the coprime-lead and chain
-criteria prune useless S-pairs.  The returned basis is inter-reduced,
-monic, and sorted by descending leading monomial, so equal ideals with
-equal orders yield byte-for-byte equal bases.
+Pair selection is by ascending lcm degree, ties in generator order; the
+coprime-lead and chain criteria prune useless S-pairs.  Buchberger stops
+at the first generator or S-polynomial that reduces to a nonzero constant
+and returns [1], the reduced basis of the unit ideal.  Any other returned
+basis is inter-reduced, monic, and sorted by descending leading monomial,
+so equal ideals with equal orders yield byte-for-byte equal bases.
 """
 
 from __future__ import annotations
@@ -80,7 +82,9 @@ def buchberger(gens, order: TermOrder,
     """Reduced Groebner basis of the ideal generated by gens.
 
     Terminates by Dickson/Noetherianity; the caller bounds wall time via
-    deadline.  The zero ideal yields [], the unit ideal [1].
+    deadline.  The zero ideal yields [], the unit ideal [1]: as soon as a
+    generator or an S-polynomial reduces to a nonzero constant, [1] is
+    returned without handling the pairs still pending.
     """
     basis: list[Polynomial] = []
     for f in gens:
@@ -88,8 +92,11 @@ def buchberger(gens, order: TermOrder,
         if f.is_zero():
             continue
         h = normal_form(f, basis, order, deadline) if basis else f
-        if not h.is_zero():
-            basis.append(h.monic(order))
+        if h.is_zero():
+            continue
+        if h.is_constant():
+            return [Polynomial.constant(1)]
+        basis.append(h.monic(order))
 
     leads = [g.leading_monomial(order) for g in basis]
     pending: list = []      # heap of (lcm degree, i, j); each pair pushed once
@@ -118,6 +125,8 @@ def buchberger(gens, order: TermOrder,
         h = normal_form(s, basis, order, deadline)
         if h.is_zero():
             continue
+        if h.is_constant():
+            return [Polynomial.constant(1)]
         basis.append(h.monic(order))
         leads.append(basis[-1].leading_monomial(order))
         push_pairs(len(basis) - 1)

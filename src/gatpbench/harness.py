@@ -156,6 +156,8 @@ class ResultsStore:
 
     def append_many(self, records) -> None:
         with self._lock:
+            if self.path.exists():
+                self._end_last_line()
             fresh = not self.path.exists() or self.path.stat().st_size == 0
             with open(self.path, "a") as fh:
                 if fresh:
@@ -164,6 +166,32 @@ class ResultsStore:
                     fh.write(format_record(r) + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
+
+    def _end_last_line(self) -> None:
+        """Let the next append start on a line of its own: a last line
+        without a newline is ended when it parses, and cut off (back to the
+        previous newline) when it is the fragment of a torn append."""
+        with open(self.path, "rb+") as fh:
+            end = fh.seek(0, os.SEEK_END)
+            start = end
+            tail = b""
+            while start > 0 and b"\n" not in tail:
+                step = min(start, 4096)
+                start -= step
+                fh.seek(start)
+                tail = fh.read(step) + tail
+            if not tail or tail.endswith(b"\n"):
+                return
+            cut = tail.rfind(b"\n") + 1
+            try:
+                text = tail[cut:].decode()
+                if text.strip() and not text.startswith("#"):
+                    parse_record(text)
+            except (UnicodeDecodeError, CorruptRecordError):
+                fh.truncate(start + cut)
+            else:
+                fh.seek(end)
+                fh.write(b"\n")
 
     def load(self) -> list:
         """Every record in the file.  A last line that has no newline and

@@ -7,8 +7,8 @@ nonvanishing of the chain initials (reported as ndg conditions).
 
 groebner_prove decides radical membership by adjoining 1 - z*g and testing
 whether the Buchberger basis collapses to {1}; generic mode additionally
-inverts the product of the nondegeneracy polynomials with a second fresh
-variable, mirroring what wu_prove assumes.
+inverts each nondegeneracy polynomial d_k with its own fresh variable,
+1 - w_k*d_k, mirroring what wu_prove assumes.
 
 numeric_check draws exact rational models of the construction and evaluates
 every conclusion with zero tolerance; it refutes modeling mistakes cheaply
@@ -316,36 +316,38 @@ def groebner_prove(system: PolynomialSystem,
                    order_kind: str = TermOrder.DEGREVLEX,
                    trace: bool = False) -> ProofOutcome:
     """Radical-membership prover: g vanishes on V(hypotheses) iff
-    1 lies in <hypotheses, 1 - z*g>.  Generic mode additionally inverts the
-    product of the Wu nondegeneracy polynomials, so the two built-in provers
-    answer the same generically-true question.
+    1 lies in <hypotheses, 1 - z*g>.  Generic mode additionally adjoins
+    1 - w_k*d_k for each Wu nondegeneracy polynomial d_k, one fresh
+    variable per factor, so the two built-in provers answer the same
+    generically-true question.
+
+    Raises ValueError when a system variable is named z or w_k.
     """
     if mode not in (GENERIC, STRICT):
         raise ValueError(f"unknown mode {mode!r}")
     run = _ProofRun(timeout_seconds)
     deadline = run.deadline
 
-    names = ({v.name for v in system.params}
-             | {v.name for v in system.dependents})
-    assert "z" not in names and "w" not in names
-
     try:
         ndg: tuple = ()
-        extra: list[Polynomial] = []
         if mode == GENERIC:
             chain = wu_triangulate(system, deadline)
             ndg = _canonical_ndg([m.initial for m in chain]
                                  + list(system.ndg_hints))
-            if ndg:
-                prod = Polynomial.constant(1)
-                for p in ndg:
-                    prod = prod * p
-                extra.append(1 - Polynomial.variable("w") * prod)
+        fresh = ["z"] + [f"w{k}" for k in range(1, len(ndg) + 1)]
+        clash = ({v.name for v in system.params}
+                 | {v.name for v in system.dependents}).intersection(fresh)
+        if clash:
+            raise ValueError(f"system variables {sorted(clash)} clash with "
+                             "the prover's fresh variables")
+        # the product of the ndgs is nonzero iff every factor is, so one
+        # inverter per factor asks the same question with far smaller terms
+        inverters = [1 - Polynomial.variable(w) * d
+                     for w, d in zip(fresh[1:], ndg)]
 
-        # precedence: fresh inverters first, then dependents newest-first,
+        # precedence: fresh variables first, then dependents newest-first,
         # then parameters
-        prec = ["z", "w"]
-        prec += [v.name for v in reversed(system.dependents)]
+        prec = fresh + [v.name for v in reversed(system.dependents)]
         prec += [v.name for v in reversed(system.params)]
         order = TermOrder(order_kind, prec)
 
@@ -354,8 +356,11 @@ def groebner_prove(system: PolynomialSystem,
                 if trace:
                     run.lines.append(f"conclusion {i}: identically zero")
                 continue
-            gens = list(system.hypotheses) + extra
-            gens.append(1 - Polynomial.variable("z") * g)
+            # the negated goal first: hypotheses and inverters are consistent
+            # on their own, so a unit can only come from pairs with the goal,
+            # and equal-degree pairs are taken in generator order
+            gens = ([1 - Polynomial.variable("z") * g]
+                    + list(system.hypotheses) + inverters)
             basis = buchberger(gens, order, deadline)
             if not is_unit_basis(basis):
                 run.lines.append(

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from gatpbench import groebner
 from gatpbench.groebner import (buchberger, divide, is_unit_basis,
                                 normal_form, s_polynomial)
 from gatpbench.polynomials import Polynomial, TermOrder, var
@@ -92,3 +93,33 @@ class TestBuchbergerCorrectness:
         basis = buchberger([x, x + 1], LEX_XY)
         assert is_unit_basis(basis)
         assert not is_unit_basis(buchberger([x ** 2], LEX_XY))
+
+
+class TestUnitIdealStopsEarly:
+    """buchberger returns [1] at the first nonzero constant remainder."""
+
+    def count_calls(self, monkeypatch, name):
+        calls = []
+        real = getattr(groebner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(groebner, name, counted)
+        return calls
+
+    def test_unit_from_an_s_pair(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "s_polynomial")
+        # the first pair taken, (xy - 1, x), gives S = -1; the pair
+        # (xy - 1, y + z) of the same lcm degree is never formed
+        basis = buchberger([x * y - 1, x, y + z], DRL_XYZ)
+        assert basis == [Polynomial.constant(1)]
+        assert len(calls) == 1
+
+    def test_generator_that_reduces_to_a_constant(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "normal_form")
+        basis = buchberger([x, x + 1, y ** 2 + z], DRL_XYZ)
+        assert basis == [Polynomial.constant(1)]
+        assert len(calls) == 1      # y^2 + z is never reduced
+        assert buchberger([Polynomial.constant(3), x], LEX_XY) \
+            == [Polynomial.constant(1)]

@@ -118,6 +118,35 @@ class TestStore:
         assert store.load() == [sample_record(0), sample_record(1)]
         assert store.torn_line == 4
 
+    @pytest.mark.parametrize("cut", [0.5, 1.0])
+    def test_append_after_an_unterminated_last_line(self, tmp_path, cut):
+        # a torn fragment is dropped, a whole record that only lacks its
+        # newline is kept; either way the next record gets its own line
+        p = tmp_path / "s.tsv"
+        store = ResultsStore(p)
+        store.append_many([sample_record(0), sample_record(1)])
+        whole = format_record(sample_record(2))
+        with open(p, "a") as fh:
+            fh.write(whole[:int(len(whole) * cut)])
+        store.append(sample_record(3))
+        kept = [sample_record(2)] if cut == 1.0 else []
+        assert store.load() == ([sample_record(0), sample_record(1)] + kept
+                                + [sample_record(3)])
+        assert store.torn_line is None
+
+    def test_append_after_a_store_that_is_one_fragment(self, tmp_path):
+        p = tmp_path / "s.tsv"
+        p.write_text(HEADER[:7])
+        store = ResultsStore(p)
+        store.append(sample_record(0))
+        assert p.read_text().startswith(HEADER[:7] + "\n")
+        assert store.load() == [sample_record(0)]
+        q = tmp_path / "t.tsv"
+        q.write_text(format_record(sample_record(0))[:20])
+        ResultsStore(q).append(sample_record(1))
+        assert q.read_text() == HEADER + "\n" + format_record(
+            sample_record(1)) + "\n"
+
     def test_unparsable_line_before_the_last_still_raises(self, tmp_path):
         p = tmp_path / "s.tsv"
         whole = format_record(sample_record(0))

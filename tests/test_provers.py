@@ -10,13 +10,15 @@ import pytest
 
 from gatpbench.algebraize import (DEPENDENT, PARAM, PolynomialSystem,
                                   Variable, algebraize)
-from gatpbench.polynomials import pseudo_remainder, var
+from gatpbench.corpus import bundled_manifest_path, load_corpus
+from gatpbench.groebner import buchberger, is_unit_basis
+from gatpbench.polynomials import Polynomial, TermOrder, pseudo_remainder, var
 from gatpbench.problems import parse_problem
 from gatpbench.provers import (GENERIC, STRICT, Consistent, Counterexample,
                                DegenerateExhaustedError,
                                InconsistentSystemError, SpawnFailureError,
                                Status, external_descriptor, external_prove,
-                               groebner_prove, numeric_check,
+                               _canonical_ndg, groebner_prove, numeric_check,
                                solve_construction, wu_prove, wu_triangulate)
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gatpbench" / "data"
@@ -109,13 +111,59 @@ class TestWuProver:
             wu_prove(load("GEO0001"), timeout_seconds=budget)
 
 
+def bundled_systems():
+    entries = load_corpus(bundled_manifest_path()).entries
+    assert len(entries) == 17
+    return [(e.id, algebraize(e.problem)) for e in entries]
+
+
+def product_inverter_is_unit(system):
+    """Unit-ideal answer of the encoding that inverts the product of all
+    ndgs with one variable, 1 - w*prod(d), hypotheses before the goal."""
+    chain = wu_triangulate(system)
+    ndg = _canonical_ndg([m.initial for m in chain]
+                         + list(system.ndg_hints))
+    prod = Polynomial.constant(1)
+    for d in ndg:
+        prod = prod * d
+    extra = [1 - var("w") * prod] if ndg else []
+    prec = (["z", "w"] + [v.name for v in reversed(system.dependents)]
+            + [v.name for v in reversed(system.params)])
+    order = TermOrder(TermOrder.DEGREVLEX, prec)
+    return all(is_unit_basis(buchberger(list(system.hypotheses) + extra
+                                        + [1 - var("z") * g], order))
+               for g in system.conclusions if not g.is_zero())
+
+
 class TestGroebnerProver:
-    def test_agrees_with_wu_on_small_sample(self):
-        for pid in ("GEO0001", "GEO0002", "GEO0005", "NOT0001", "NOT0003"):
-            s = load(pid)
-            a = wu_prove(s, timeout_seconds=30).status
-            b = groebner_prove(s, timeout_seconds=30).status
-            assert a == b, pid
+    def test_agrees_with_wu_on_every_bundled_entry(self):
+        # the 5 s budget leaves a wide margin on GEO0008 (Euler line, 11
+        # ndgs), the entry that takes longest
+        for pid, s in bundled_systems():
+            wu = wu_prove(s, timeout_seconds=5)
+            gbm = groebner_prove(s, timeout_seconds=5)
+            assert gbm.status in (Status.PROVED, Status.UNPROVED), pid
+            assert (gbm.status, gbm.ndg_conditions) \
+                == (wu.status, wu.ndg_conditions), pid
+
+    def test_one_inverter_per_factor_decides_like_the_product(self):
+        for pid, s in bundled_systems():
+            if pid == "GEO0008":
+                continue    # the product inverter takes over a minute here
+            proved = groebner_prove(s).status is Status.PROVED
+            assert product_inverter_is_unit(s) == proved, pid
+
+    @pytest.mark.parametrize("name", ["z", "w1"])
+    def test_fresh_variable_clash_is_rejected(self, name):
+        # the chain initial u1 is the one ndg, so the prover adjoins z, w1
+        u1, t = var("u1"), var(name)
+        s = PolynomialSystem(
+            hypotheses=(u1 * t - 1,), conclusions=(t * u1 - 1,),
+            params=(Variable("u1", PARAM, 1, "Q1", "x"),),
+            dependents=(Variable(name, DEPENDENT, 1, "P1", "x"),),
+            ndg_hints=(), assignment={}, problem=None)
+        with pytest.raises(ValueError, match=name):
+            groebner_prove(s)
 
     def test_strict_mode_needs_no_degeneracy_escape(self):
         s = load("GEO0009")
