@@ -14,13 +14,13 @@ timestamps, reruns of the same configuration produce identical records.
 from __future__ import annotations
 
 import datetime
+import functools
 import platform
 import tempfile
 import threading
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -60,7 +60,7 @@ class RunConfig:
             raise ValueError("repetitions and parallelism must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     problem_id: str
     prover_id: str
@@ -120,6 +120,19 @@ def format_record(r: RunRecord) -> str:
     ])
 
 
+_STATUSES = {s.value: s for s in Status}
+
+
+@functools.lru_cache(maxsize=32)
+def _decode_host(field: str) -> str:
+    # a store holds one fingerprint per host, so each is decoded once;
+    # a field that raises is not cached
+    host = json.loads(field)
+    if not isinstance(host, str):
+        raise ValueError("host fingerprint is not a string")
+    return host
+
+
 def parse_record(line: str, line_number: int = 0) -> RunRecord:
     parts = line.rstrip("\n").split("\t", 8)
     if len(parts) != 9:
@@ -127,16 +140,16 @@ def parse_record(line: str, line_number: int = 0) -> RunRecord:
                                  f"expected 9 fields, got {len(parts)}")
     pid, prover, rep, status, cpu, wall, ndg, started, host = parts
     try:
-        status_v = Status(status)
+        status_v = _STATUSES.get(status)
+        if status_v is None:
+            raise ValueError(f"{status!r} is not a valid Status")
         rep_v = int(rep)
         cpu_v = float(cpu)
         wall_v = float(wall)
         ndg_v = int(ndg)
-        host_v = json.loads(host)
-    except (ValueError, json.JSONDecodeError) as e:
+        host_v = _decode_host(host)
+    except ValueError as e:
         raise CorruptRecordError(line_number, str(e))
-    if not isinstance(host_v, str):
-        raise CorruptRecordError(line_number, "host fingerprint is not a string")
     return RunRecord(problem_id=pid, prover_id=prover, repetition=rep_v,
                      status=status_v, cpu_seconds=cpu_v, wall_seconds=wall_v,
                      ndg_count=ndg_v, started_at=started,
@@ -262,6 +275,8 @@ def run_suite(cfg: RunConfig, store: ResultsStore | None = None) -> list:
     if cfg.parallelism == 1:
         records = [run_single(p, d, cfg, rep) for p, d, rep in cells]
     else:
+        # imported here so that importing the package does not load it
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
             records = list(pool.map(
                 lambda cell: run_single(cell[0], cell[1], cfg, cell[2]),

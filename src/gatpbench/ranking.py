@@ -403,10 +403,13 @@ def report_from_records(records, descriptors,
                         de_bruijn: dict | None = None) -> RankingReport:
     """Convenience path from a loaded record store straight to a report."""
     descriptors = sorted(descriptors, key=lambda d: d.id)
+    by_prover = {}
+    for r in records:
+        by_prover.setdefault(r.prover_id, []).append(r)
     profiles = [
         build_quality_profile(
-            records, d, corpus, oracle, time_source=time_source,
-            de_bruijn=(de_bruijn or {}).get(d.id))
+            by_prover.get(d.id, ()), d, corpus, oracle,
+            time_source=time_source, de_bruijn=(de_bruijn or {}).get(d.id))
         for d in descriptors]
     return rank_report(profiles, weights,
                        build_provenance(records, corpus, time_source))

@@ -1,7 +1,12 @@
 """Benchmark harness: records, stores, timed runs."""
 
+import dataclasses
+import os
+import pickle
 import random
 import stat
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -63,6 +68,45 @@ class TestRecordFormat:
             parse_record(line, line_number=17)
         assert info.value.line_number == 17
 
+    @pytest.mark.parametrize("field,value,reason", [
+        (3, "xyz", "'xyz' is not a valid Status"),
+        (2, "one", "invalid literal for int() with base 10: 'one'"),
+        (6, "2.5", "invalid literal for int() with base 10: '2.5'"),
+        (4, "fast", "could not convert string to float: 'fast'"),
+        (5, "", "could not convert string to float: ''"),
+        (8, "not json", "Expecting value: line 1 column 1 (char 0)"),
+        (8, '"open', "Unterminated string starting at: "
+                     "line 1 column 1 (char 0)"),
+        (8, "123", "host fingerprint is not a string"),
+        (8, '["h"]', "host fingerprint is not a string"),
+    ])
+    def test_corrupt_field_message(self, field, value, reason):
+        parts = format_record(sample_record()).split("\t")
+        parts[field] = value
+        with pytest.raises(CorruptRecordError) as info:
+            parse_record("\t".join(parts), line_number=5)
+        assert str(info.value) == f"record line 5: {reason}"
+
+    def test_wrong_field_count_message(self):
+        with pytest.raises(CorruptRecordError) as info:
+            parse_record("a\tb\tc", line_number=2)
+        assert str(info.value) == "record line 2: expected 9 fields, got 3"
+
+    def test_a_bad_host_is_not_remembered(self):
+        good = format_record(sample_record())
+        parts = good.split("\t")
+        for host in ("123", "not json"):
+            bad = "\t".join(parts[:8] + [host])
+            for _ in range(2):
+                with pytest.raises(CorruptRecordError):
+                    parse_record(bad)
+        assert parse_record(good) == sample_record()
+
+    @pytest.mark.parametrize("status", list(Status))
+    def test_every_status_round_trips(self, status):
+        r = dataclasses.replace(sample_record(), status=status)
+        assert parse_record(format_record(r)).status is status
+
     def test_synthetic_store_round_trip(self, tmp_path):
         rng = random.Random(6)
         records = []
@@ -80,6 +124,47 @@ class TestRecordFormat:
         store = ResultsStore(tmp_path / "runs.tsv")
         store.append_many(records)
         assert store.load() == records
+
+
+class TestRunRecordValue:
+    def test_fields_cannot_be_assigned(self):
+        r = sample_record()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.status = Status.ERROR
+        # a name that is not a field has no slot; which error says so
+        # depends on the Python version
+        with pytest.raises((AttributeError, TypeError)):
+            r.note = "x"
+
+    def test_no_instance_dict(self):
+        assert not hasattr(sample_record(), "__dict__")
+
+    def test_hash_and_pickle(self):
+        r = sample_record(1)
+        assert hash(r) == hash(sample_record(1))
+        assert len({r, sample_record(1), sample_record(2)}) == 2
+        back = pickle.loads(pickle.dumps(r))
+        assert back == r and hash(back) == hash(r)
+
+    def test_replace_and_timing_free(self):
+        r = sample_record()
+        assert dataclasses.replace(r, repetition=4).repetition == 4
+        blank = r.timing_free()
+        assert (blank.cpu_seconds, blank.wall_seconds, blank.started_at) \
+            == (0.0, 0.0, "")
+        assert blank == dataclasses.replace(r, cpu_seconds=0.0,
+                                            wall_seconds=0.0, started_at="")
+
+
+def test_import_leaves_thread_pool_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gatpbench; print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestStore:

@@ -13,7 +13,8 @@ from gatpbench.ranking import (EfficiencyClass, MissingRecordsError,
                                ZeroSizeError, aggregate_scores,
                                build_quality_profile, classify_time,
                                de_bruijn_factor, de_bruijn_factor_text,
-                               rank_report, summarize_problem)
+                               rank_report, report_from_records,
+                               summarize_problem)
 
 
 def rec(problem="P1", prover="wu", rep=1, status=Status.PROVED,
@@ -120,6 +121,12 @@ class TestProfiles:
     def test_missing_records_raise(self):
         with pytest.raises(MissingRecordsError):
             build_quality_profile(self.records(), groebner_descriptor())
+
+    def test_report_raises_for_a_descriptor_without_records(self):
+        with pytest.raises(MissingRecordsError) as info:
+            report_from_records(self.records(),
+                                [wu_descriptor(), groebner_descriptor()])
+        assert info.value.prover_id == "gbm"
 
     def test_oracle_contradiction_lowers_agreement(self):
         cx = Counterexample(model={}, env={}, conclusion_index=0,
