@@ -140,9 +140,8 @@ def parse_record(line: str, line_number: int = 0) -> RunRecord:
                                  f"expected 9 fields, got {len(parts)}")
     pid, prover, rep, status, cpu, wall, ndg, started, host = parts
     try:
-        status_v = _STATUSES.get(status)
-        if status_v is None:
-            raise ValueError(f"{status!r} is not a valid Status")
+        # a miss falls through to Status(), which raises the usual error
+        status_v = _STATUSES.get(status) or Status(status)
         rep_v = int(rep)
         cpu_v = float(cpu)
         wall_v = float(wall)
