@@ -178,6 +178,107 @@ class TestGroebnerProver:
         assert out.ndg_conditions == ()
 
 
+def foot_system(first, second):
+    """The foot F of C on AB, with two conjectures in the given order."""
+    return algebraize(parse_problem(textwrap.dedent(f"""\
+        problem FOOT
+        fixed A 0 0
+        free B
+        free C
+        foot F C A B
+        conjecture {first}
+        conjecture {second}
+        """)))
+
+
+CHAIN = ["ascending chain:",
+         "  [x1] 1*u2^2*x1 + -1*u1*u2*u4 + 1*u1^2*x1 + -1*u1^2*u3",
+         "  [x2] 1*u1*u2^2*x2 + -1*u1*u2^2*u4 + -1*u1^2*u2*u3 + 1*u1^3*x2"]
+FOOT_NDG = ["1*u1*u2^2 + 1*u1^3", "1*u2^2 + 1*u1^2"]
+FOOT_NDG_LINES = [f"nondegeneracy: {d} != 0" for d in FOOT_NDG]
+ZERO, NONZERO = "collinear A A F", "perpendicular C F A B"
+
+# (case, prover) -> (status, ndgs, message, trace lines) of a traced run
+CHARACTERISED = {
+    ("zero-first", "wu"): (
+        Status.PROVED, FOOT_NDG, "",
+        ["conclusion 1: identically zero", *CHAIN,
+         "conclusion 2: remainder zero", *FOOT_NDG_LINES]),
+    ("zero-first", "gbm"): (
+        Status.PROVED, FOOT_NDG, "",
+        ["conclusion 1: identically zero",
+         "conclusion 2: radical membership confirmed", *FOOT_NDG_LINES]),
+    ("zero-first", "strict"): (
+        Status.PROVED, [], "",
+        ["conclusion 1: identically zero",
+         "conclusion 2: radical membership confirmed"]),
+    ("zero-after", "wu"): (
+        Status.PROVED, FOOT_NDG, "",
+        [*CHAIN, "conclusion 1: remainder zero",
+         "conclusion 2: identically zero", *FOOT_NDG_LINES]),
+    ("zero-after", "gbm"): (
+        Status.PROVED, FOOT_NDG, "",
+        ["conclusion 1: radical membership confirmed",
+         "conclusion 2: identically zero", *FOOT_NDG_LINES]),
+    ("zero-after", "strict"): (
+        Status.PROVED, [], "",
+        ["conclusion 1: radical membership confirmed",
+         "conclusion 2: identically zero"]),
+    ("NOT0001", "wu"): (
+        Status.UNPROVED, [], "",
+        ["ascending chain:",
+         "conclusion 1: nonzero final remainder 1*u2*u4 + 1*u1*u3"]),
+    ("NOT0001", "gbm"): (
+        Status.UNPROVED, [], "",
+        ["conclusion 1: not in the radical (basis of 1 elements, no unit)"]),
+    ("NOT0001", "strict"): (
+        Status.UNPROVED, [], "",
+        ["conclusion 1: not in the radical (basis of 1 elements, no unit)"]),
+    ("contradictory", "wu"): (
+        Status.ERROR, [], "hypotheses force -1 = 0", None),
+    ("contradictory", "gbm"): (
+        Status.ERROR, [], "hypotheses force -1 = 0", None),
+    ("contradictory", "strict"): (
+        Status.PROVED, [], "", ["conclusion 1: radical membership confirmed"]),
+}
+
+
+def characterised_system(case):
+    if case == "zero-first":
+        return foot_system(ZERO, NONZERO)
+    if case == "zero-after":
+        return foot_system(NONZERO, ZERO)
+    if case == "NOT0001":
+        return load("NOT0001")
+    x1 = var("x1")
+    return synthetic_system([x1, x1 - 1], [x1], n_deps=1)
+
+
+PROVERS = {
+    "wu": wu_prove,
+    "gbm": groebner_prove,
+    "strict": lambda s, **kw: groebner_prove(s, mode=STRICT, **kw),
+}
+
+
+class TestProofPaths:
+    @pytest.mark.parametrize("case,prover", list(CHARACTERISED))
+    def test_characterised_outcome(self, case, prover):
+        status, ndgs, message, lines = CHARACTERISED[case, prover]
+        s = characterised_system(case)
+        out = PROVERS[prover](s, timeout_seconds=30, trace=True)
+        assert out.status is status
+        assert [d.to_string() for d in out.ndg_conditions] == ndgs
+        assert out.message == message
+        assert out.trace == (None if lines is None else "\n".join(lines))
+        # untraced runs keep only the line that says why a proof failed
+        quiet = PROVERS[prover](s, timeout_seconds=30)
+        assert (quiet.status, quiet.ndg_conditions) \
+            == (out.status, out.ndg_conditions)
+        assert quiet.trace == (lines[-1] if status is Status.UNPROVED
+                               else None)
+
+
 class TestNumericOracle:
     def test_true_theorem_is_consistent(self):
         assert isinstance(numeric_check(load("GEO0002"), samples=15, seed=3),
