@@ -278,6 +278,28 @@ class TestProofPaths:
         assert quiet.trace == (lines[-1] if status is Status.UNPROVED
                                else None)
 
+    def test_provers_agree_when_no_conclusion_needs_reducing(self):
+        # neither prover triangulates when every conclusion is identically
+        # zero, so both report only the constructor hints, and contradictory
+        # hypotheses are never looked at
+        foot = algebraize(parse_problem(textwrap.dedent("""\
+            problem FOOT
+            free A
+            free B
+            free C
+            foot F C A B
+            conjecture collinear A A F
+            """)))
+        x1 = var("x1")
+        contradictory = synthetic_system([x1, x1 - 1], [Polynomial.constant(0)],
+                                         n_deps=1)
+        for s in (foot, contradictory):
+            wu, gbm = wu_prove(s), groebner_prove(s)
+            assert wu.status is Status.PROVED
+            assert (gbm.status, gbm.ndg_conditions) \
+                == (wu.status, wu.ndg_conditions)
+        assert len(wu_prove(foot).ndg_conditions) == 1
+
 
 class TestNumericOracle:
     def test_true_theorem_is_consistent(self):
