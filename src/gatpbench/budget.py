@@ -8,7 +8,6 @@ which callers turn into a timeout verdict.
 
 from __future__ import annotations
 
-import math
 import time
 
 
@@ -16,14 +15,19 @@ class DeadlineExceeded(Exception):
     """The wall-clock budget ran out."""
 
 
+def budget_seconds(seconds: float) -> float:
+    """seconds itself, or ValueError unless it is positive and finite."""
+    # nan fails both comparisons, so it is rejected along with inf
+    if not 0 < seconds < float("inf"):
+        raise ValueError("budget must be positive and finite")
+    return seconds
+
+
 class Deadline:
     __slots__ = ("limit", "_t0")
 
     def __init__(self, seconds: float | None = None):
-        # nan fails both comparisons, so it is rejected along with inf
-        if seconds is not None and not 0 < seconds < math.inf:
-            raise ValueError("budget must be positive and finite")
-        self.limit = seconds
+        self.limit = None if seconds is None else budget_seconds(seconds)
         self._t0 = time.perf_counter()
 
     def elapsed(self) -> float:

@@ -11,12 +11,12 @@ and an explicit --timeout flag wins over both.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from fractions import Fraction
 
 from .algebraize import AlgebraizeError, algebraize
+from .budget import budget_seconds
 from .corpus import CorpusError, load_corpus
 from .harness import (DEFAULT_TIMEOUT_SECONDS, CorruptRecordError, ResultsStore,
                       RunConfig, run_suite)
@@ -45,12 +45,10 @@ class UsageError(Exception):
 
 def _positive_seconds(text: str) -> float:
     try:
-        value = float(text)
+        return budget_seconds(float(text))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0 < value < math.inf:  # also rejects nan
-        raise argparse.ArgumentTypeError("timeout must be positive and finite")
-    return value
+        raise argparse.ArgumentTypeError(
+            f"timeout must be a positive finite number, got {text!r}")
 
 
 def resolve_timeout(flag_value: float | None) -> float:
@@ -60,12 +58,10 @@ def resolve_timeout(flag_value: float | None) -> float:
     env = os.environ.get(ENV_TIMEOUT)
     if env is not None:
         try:
-            value = float(env)
+            return budget_seconds(float(env))
         except ValueError:
-            raise UsageError(f"{ENV_TIMEOUT} is not a number: {env!r}")
-        if not 0 < value < math.inf:
-            raise UsageError(f"{ENV_TIMEOUT} must be positive and finite")
-        return value
+            raise UsageError(f"{ENV_TIMEOUT} must be a positive finite "
+                             f"number, got {env!r}")
     return DEFAULT_TIMEOUT_SECONDS
 
 
@@ -168,11 +164,8 @@ def _load_problem(path: str):
 def _cmd_prove(args) -> int:
     timeout = resolve_timeout(args.timeout)
     system = algebraize(_load_problem(args.file))
-    if args.prover == "wu":
-        outcome = wu_prove(system, timeout_seconds=timeout, trace=args.trace)
-    else:
-        outcome = groebner_prove(system, timeout_seconds=timeout,
-                                 trace=args.trace)
+    prove = wu_prove if args.prover == "wu" else groebner_prove
+    outcome = prove(system, timeout_seconds=timeout, trace=args.trace)
     print(outcome.status.value.capitalize())
     if outcome.ndg_conditions:
         for cond in outcome.ndg_conditions:

@@ -19,12 +19,12 @@ import platform
 import tempfile
 import threading
 import json
-import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .algebraize import AlgebraizeError, algebraize
+from .budget import budget_seconds
 from .corpus import CorpusManifest
 from .problems import Problem, render_problem
 from .provers import (ProofOutcome, ProverDescriptor, ProverKind,
@@ -54,8 +54,7 @@ class RunConfig:
     def __post_init__(self):
         if not self.provers:
             raise ValueError("at least one prover")
-        if not 0 < self.timeout_seconds < math.inf:
-            raise ValueError("timeout must be positive and finite")
+        budget_seconds(self.timeout_seconds)
         if self.repetitions < 1 or self.parallelism < 1:
             raise ValueError("repetitions and parallelism must be >= 1")
 
@@ -231,13 +230,7 @@ def run_single(problem: Problem, descriptor: ProverDescriptor,
     """One timed prover run; any failure becomes an error record."""
     started = _now_iso()
     try:
-        if descriptor.kind is ProverKind.BUILTIN_WU:
-            outcome = wu_prove(algebraize(problem),
-                               timeout_seconds=cfg.timeout_seconds)
-        elif descriptor.kind is ProverKind.BUILTIN_GROEBNER:
-            outcome = groebner_prove(algebraize(problem),
-                                     timeout_seconds=cfg.timeout_seconds)
-        elif descriptor.kind is ProverKind.EXTERNAL:
+        if descriptor.kind is ProverKind.EXTERNAL:
             with tempfile.NamedTemporaryFile(
                     "w", suffix=".geo", delete=False) as fh:
                 fh.write(render_problem(problem))
@@ -248,7 +241,10 @@ def run_single(problem: Problem, descriptor: ProverDescriptor,
             finally:
                 os.unlink(path)
         else:
-            raise ValueError(f"unknown prover kind {descriptor.kind}")
+            prove = (wu_prove if descriptor.kind is ProverKind.BUILTIN_WU
+                     else groebner_prove)
+            outcome = prove(algebraize(problem),
+                            timeout_seconds=cfg.timeout_seconds)
     except (AlgebraizeError, SpawnFailureError, OSError) as e:
         outcome = ProofOutcome(status=Status.ERROR, message=str(e))
     return RunRecord(

@@ -89,19 +89,15 @@ class ProverDescriptor:
             raise ValueError("command template is for external provers only")
 
 
-def wu_descriptor(trace: bool = False) -> ProverDescriptor:
-    # trace emission lifts the output from a bare verdict to a replayable
-    # reduction log, one readability level up
+def wu_descriptor() -> ProverDescriptor:
     return ProverDescriptor(
         id="wu", kind=ProverKind.BUILTIN_WU,
-        readability_level=2 if trace else 1,
         reliability=ReliabilityClass.EXTENSIVELY_TESTED)
 
 
-def groebner_descriptor(trace: bool = False) -> ProverDescriptor:
+def groebner_descriptor() -> ProverDescriptor:
     return ProverDescriptor(
         id="gbm", kind=ProverKind.BUILTIN_GROEBNER,
-        readability_level=2 if trace else 1,
         reliability=ReliabilityClass.EXTENSIVELY_TESTED)
 
 
@@ -163,6 +159,16 @@ def _check_reduced_pool(pool, depidx):
                 f"hypotheses constrain the parameters: {p} = 0")
 
 
+def _remainder(p: Polynomial, chain: list[ChainMember],
+               deadline: Deadline) -> Polynomial:
+    """Successive pseudo-remainder of p down the chain, last member first."""
+    for m in reversed(chain):
+        if p.degree_in(m.main_var) >= m.poly.degree_in(m.main_var):
+            p = pseudo_divide(p, m.poly, m.main_var, deadline)[1]
+        deadline.check()
+    return p
+
+
 def wu_triangulate(system: PolynomialSystem,
                    deadline: Deadline | None = None) -> list[ChainMember]:
     """Ritt-Wu characteristic chain of the hypotheses over the dependents.
@@ -173,6 +179,7 @@ def wu_triangulate(system: PolynomialSystem,
     main variables; a nonzero constant remainder signals an inconsistent
     system.
     """
+    deadline = deadline or Deadline()
     depidx = {v.name: v.index for v in system.dependents}
     depname = {v.index: v.name for v in system.dependents}
 
@@ -184,37 +191,24 @@ def wu_triangulate(system: PolynomialSystem,
     if not pool:
         return []
 
-    def reduced_wrt(p: Polynomial, member: Polynomial) -> bool:
-        mv = depname[_dep_index(member, depidx)]
-        return p.degree_in(mv) < member.degree_in(mv)
-
     while True:
-        if deadline is not None:
-            deadline.check()
-        ranked = sorted(pool, key=lambda p: _rank(p, depidx, depname))
-        chain: list[Polynomial] = []
-        for p in ranked:
-            if not chain:
-                chain.append(p)
-                continue
-            if (_dep_index(p, depidx) > _dep_index(chain[-1], depidx)
-                    and all(reduced_wrt(p, m) for m in chain)):
-                chain.append(p)
-        rest = [p for p in pool if not any(p is q for q in chain)]
+        deadline.check()
+        chain: list[ChainMember] = []
+        for p in sorted(pool, key=lambda p: _rank(p, depidx, depname)):
+            mv = depname[_dep_index(p, depidx)]
+            if not chain or (
+                    depidx[mv] > depidx[chain[-1].main_var]
+                    and all(p.degree_in(m.main_var) < m.poly.degree_in(m.main_var)
+                            for m in chain)):
+                chain.append(ChainMember(p, mv, p.leading_coeff_in(mv)))
         remainders: list[Polynomial] = []
-        for p in rest:
-            r = p
-            for q in reversed(chain):
-                mv = depname[_dep_index(q, depidx)]
-                if r.degree_in(mv) >= q.degree_in(mv):
-                    r = pseudo_divide(r, q, mv, deadline)[1]
-            if r.is_zero():
-                continue
-            remainders.append(r)
+        for p in pool:
+            if not any(p is m.poly for m in chain):
+                r = _remainder(p, chain, deadline)
+                if not r.is_zero():
+                    remainders.append(r)
         if not remainders:
-            return [ChainMember(p, depname[_dep_index(p, depidx)],
-                                p.leading_coeff_in(depname[_dep_index(p, depidx)]))
-                    for p in chain]
+            return chain
         _check_reduced_pool(remainders, depidx)
         for r in remainders:
             if r not in pool:
@@ -238,13 +232,33 @@ def _canonical_ndg(polys) -> tuple:
     return tuple(out)
 
 
+def _generic_ndg(chain: list[ChainMember], system: PolynomialSystem) -> tuple:
+    """What a generic proof assumes: the chain initials and the constructor
+    hints do not vanish."""
+    return _canonical_ndg([m.initial for m in chain] + list(system.ndg_hints))
+
+
 class _ProofRun:
     """Budget, cpu clock and trace lines of one built-in proof attempt."""
 
-    def __init__(self, timeout_seconds: float | None):
+    def __init__(self, timeout_seconds: float | None, trace: bool):
         self.deadline = Deadline(timeout_seconds)
+        self.trace = trace
         self.t0c = time.thread_time()
         self.lines: list[str] = []
+
+    def note(self, line: str) -> None:
+        """A line that only a traced run keeps."""
+        if self.trace:
+            self.lines.append(line)
+
+    def goals(self, system: PolynomialSystem):
+        """(index, conclusion) for each conclusion not identically zero."""
+        for i, g in enumerate(system.conclusions, start=1):
+            if g.is_zero():
+                self.note(f"conclusion {i}: identically zero")
+            else:
+                yield i, g
 
     def outcome(self, status: Status, ndg: tuple = (),
                 message: str = "") -> ProofOutcome:
@@ -253,6 +267,11 @@ class _ProofRun:
             trace="\n".join(self.lines) if self.lines else None,
             cpu_seconds=time.thread_time() - self.t0c,
             wall_seconds=self.deadline.elapsed(), message=message)
+
+    def proved(self, ndg: tuple) -> ProofOutcome:
+        if self.trace:
+            self.lines += [f"nondegeneracy: {p} != 0" for p in ndg]
+        return self.outcome(Status.PROVED, ndg=ndg)
 
 
 def wu_prove(system: PolynomialSystem,
@@ -264,43 +283,26 @@ def wu_prove(system: PolynomialSystem,
     conjecture holds wherever the chain initials and the constructor hints
     do not vanish.
     """
-    run = _ProofRun(timeout_seconds)
-    deadline = run.deadline
+    run = _ProofRun(timeout_seconds, trace)
     chain: list[ChainMember] | None = None
 
     try:
-        for i, g in enumerate(system.conclusions, start=1):
-            if g.is_zero():
-                if trace:
-                    run.lines.append(f"conclusion {i}: identically zero")
-                continue
+        for i, g in run.goals(system):
             if chain is None:
-                chain = wu_triangulate(system, deadline)
+                chain = wu_triangulate(system, run.deadline)
                 if trace:
-                    run.lines.append("ascending chain:")
-                    for m in chain:
-                        run.lines.append(f"  [{m.main_var}] {m.poly}")
-            r = g
-            for member in reversed(chain):
-                if r.degree_in(member.main_var) >= member.poly.degree_in(member.main_var):
-                    r = pseudo_divide(r, member.poly, member.main_var, deadline)[1]
-                deadline.check()
+                    run.lines += ["ascending chain:"] + [
+                        f"  [{m.main_var}] {m.poly}" for m in chain]
+            r = _remainder(g, chain, run.deadline)
             if not r.is_zero():
                 run.lines.append(f"conclusion {i}: nonzero final remainder {r}")
                 return run.outcome(Status.UNPROVED)
-            if trace:
-                run.lines.append(f"conclusion {i}: remainder zero")
+            run.note(f"conclusion {i}: remainder zero")
     except DeadlineExceeded:
         return run.outcome(Status.TIMEOUT)
     except TriangulateError as e:
         return run.outcome(Status.ERROR, message=str(e))
-
-    initials = [m.initial for m in chain] if chain else []
-    ndg = _canonical_ndg(list(initials) + list(system.ndg_hints))
-    if trace and ndg:
-        for p in ndg:
-            run.lines.append(f"nondegeneracy: {p} != 0")
-    return run.outcome(Status.PROVED, ndg=ndg)
+    return run.proved(_generic_ndg(chain or [], system))
 
 
 # ---------------------------------------------------------------------------
@@ -313,27 +315,26 @@ STRICT = "strict"
 def groebner_prove(system: PolynomialSystem,
                    timeout_seconds: float | None = None,
                    mode: str = GENERIC,
-                   order_kind: str = TermOrder.DEGREVLEX,
                    trace: bool = False) -> ProofOutcome:
     """Radical-membership prover: g vanishes on V(hypotheses) iff
     1 lies in <hypotheses, 1 - z*g>.  Generic mode additionally adjoins
     1 - w_k*d_k for each Wu nondegeneracy polynomial d_k, one fresh
     variable per factor, so the two built-in provers answer the same
-    generically-true question.
+    generically-true question.  Like wu_prove, it triangulates only when
+    some conclusion is not identically zero.
 
     Raises ValueError when a system variable is named z or w_k.
     """
     if mode not in (GENERIC, STRICT):
         raise ValueError(f"unknown mode {mode!r}")
-    run = _ProofRun(timeout_seconds)
-    deadline = run.deadline
+    run = _ProofRun(timeout_seconds, trace)
 
     try:
         ndg: tuple = ()
         if mode == GENERIC:
-            chain = wu_triangulate(system, deadline)
-            ndg = _canonical_ndg([m.initial for m in chain]
-                                 + list(system.ndg_hints))
+            needed = any(not g.is_zero() for g in system.conclusions)
+            ndg = _generic_ndg(
+                wu_triangulate(system, run.deadline) if needed else [], system)
         fresh = ["z"] + [f"w{k}" for k in range(1, len(ndg) + 1)]
         clash = ({v.name for v in system.params}
                  | {v.name for v in system.dependents}).intersection(fresh)
@@ -349,37 +350,26 @@ def groebner_prove(system: PolynomialSystem,
         # then parameters
         prec = fresh + [v.name for v in reversed(system.dependents)]
         prec += [v.name for v in reversed(system.params)]
-        order = TermOrder(order_kind, prec)
+        order = TermOrder(TermOrder.DEGREVLEX, prec)
 
-        for i, g in enumerate(system.conclusions, start=1):
-            if g.is_zero():
-                if trace:
-                    run.lines.append(f"conclusion {i}: identically zero")
-                continue
+        for i, g in run.goals(system):
             # the negated goal first: hypotheses and inverters are consistent
             # on their own, so a unit can only come from pairs with the goal,
             # and equal-degree pairs are taken in generator order
             gens = ([1 - Polynomial.variable("z") * g]
                     + list(system.hypotheses) + inverters)
-            basis = buchberger(gens, order, deadline)
+            basis = buchberger(gens, order, run.deadline)
             if not is_unit_basis(basis):
                 run.lines.append(
                     f"conclusion {i}: not in the radical "
                     f"(basis of {len(basis)} elements, no unit)")
                 return run.outcome(Status.UNPROVED)
-            if trace:
-                run.lines.append(f"conclusion {i}: radical membership confirmed")
+            run.note(f"conclusion {i}: radical membership confirmed")
     except DeadlineExceeded:
         return run.outcome(Status.TIMEOUT)
     except TriangulateError as e:
         return run.outcome(Status.ERROR, message=str(e))
-
-    if mode == STRICT:
-        ndg = ()
-    if trace and ndg:
-        for p in ndg:
-            run.lines.append(f"nondegeneracy: {p} != 0")
-    return run.outcome(Status.PROVED, ndg=ndg)
+    return run.proved(ndg)
 
 
 # ---------------------------------------------------------------------------

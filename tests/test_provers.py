@@ -18,7 +18,7 @@ from gatpbench.provers import (GENERIC, STRICT, Consistent, Counterexample,
                                DegenerateExhaustedError,
                                InconsistentSystemError, SpawnFailureError,
                                Status, external_descriptor, external_prove,
-                               _canonical_ndg, groebner_prove, numeric_check,
+                               _generic_ndg, groebner_prove, numeric_check,
                                solve_construction, wu_prove, wu_triangulate)
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gatpbench" / "data"
@@ -120,9 +120,7 @@ def bundled_systems():
 def product_inverter_is_unit(system):
     """Unit-ideal answer of the encoding that inverts the product of all
     ndgs with one variable, 1 - w*prod(d), hypotheses before the goal."""
-    chain = wu_triangulate(system)
-    ndg = _canonical_ndg([m.initial for m in chain]
-                         + list(system.ndg_hints))
+    ndg = _generic_ndg(wu_triangulate(system), system)
     prod = Polynomial.constant(1)
     for d in ndg:
         prod = prod * d
