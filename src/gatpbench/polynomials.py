@@ -15,10 +15,15 @@ and two polynomials are equal exactly when their term maps are.
 
 Also here: term orders (lexicographic and degree-reverse-lexicographic),
 exact evaluation, and pseudo-division with respect to a chosen variable.
+Evaluation runs in int arithmetic: scaled_point brings a rational point
+over one common denominator d, and Polynomial.scaled_value computes
+d**k * p(x) for p of total degree k, an int for int coefficients; evaluate
+divides that by d**k once.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .budget import Deadline
@@ -272,6 +277,26 @@ def _quotient(a, b):
     return q.numerator if q.denominator == 1 else q
 
 
+def scaled_point(env: dict, names) -> tuple:
+    """(d, numerators) for the rational point env restricted to names.
+
+    d is the least common denominator of those coordinates and
+    numerators[name] = env[name] * d, an int, so a polynomial evaluates in
+    int arithmetic (Polynomial.scaled_value).  Raises MissingVariableError
+    for a name env does not bind and TypeError for a value that is not an
+    exact rational, in the order names are given.
+    """
+    values = {}
+    for name in names:
+        if name not in values:
+            if name not in env:
+                raise MissingVariableError(name)
+            values[name] = _coerce(env[name])
+    d = math.lcm(*(v.denominator for v in values.values()))
+    return d, {name: v.numerator * (d // v.denominator)
+               for name, v in values.items()}
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -461,17 +486,36 @@ class Polynomial:
 
     # -- evaluation ----------------------------------------------------------
 
+    def scaled_value(self, d: int, numerators: dict):
+        """d**k * self(x) for the point x = numerators / d, k the total degree.
+
+        Each term c*m adds c * m(numerators) * d**(k - deg m), so int
+        coefficients give an exact int and Fraction ones an exact Fraction;
+        it is zero exactly when self(x) is.  The zero polynomial gives 0.
+        """
+        if not self.terms:
+            return 0
+        k = max(m.degree for m in self.terms)
+        dpow = [1]
+        for _ in range(k):
+            dpow.append(dpow[-1] * d)
+        total = 0
+        try:
+            for m, c in self.terms.items():
+                v = c * dpow[k - m.degree]
+                for name, e in m.exps:
+                    v *= numerators[name] if e == 1 else numerators[name] ** e
+                total += v
+        except KeyError as e:
+            raise MissingVariableError(e.args[0]) from None
+        return total
+
     def evaluate(self, env: dict) -> Fraction:
         """Exact value at a rational point; raises on unbound variables."""
-        total = 0
-        for m, c in self.terms.items():
-            v = c
-            for name, e in m.exps:
-                if name not in env:
-                    raise MissingVariableError(name)
-                v *= _coerce(env[name]) ** e
-            total += v
-        return Fraction(total)
+        d, numerators = scaled_point(
+            env, (name for m in self.terms for name, _ in m.exps))
+        return Fraction(self.scaled_value(d, numerators),
+                        d ** max(self.total_degree, 0))
 
     # -- identity ------------------------------------------------------------
 

@@ -11,8 +11,9 @@ inverts each nondegeneracy polynomial d_k with its own fresh variable,
 1 - w_k*d_k, mirroring what wu_prove assumes.
 
 numeric_check draws exact rational models of the construction and evaluates
-every conclusion with zero tolerance; it refutes modeling mistakes cheaply
-and cross-checks prover verdicts.
+every conclusion with zero tolerance, in int arithmetic over one common
+denominator per model; it refutes modeling mistakes cheaply and
+cross-checks prover verdicts.
 
 external_prove runs a prover subprocess on a rendered problem file under
 the exit-code protocol: 0 proved, 1 unproved, anything else an error.
@@ -25,6 +26,7 @@ import functools
 import os
 import random
 import resource
+import selectors
 import shlex
 import signal
 import subprocess
@@ -34,7 +36,7 @@ from fractions import Fraction
 
 from .algebraize import PolynomialSystem
 from .budget import Deadline, DeadlineExceeded
-from .polynomials import Polynomial, TermOrder, pseudo_divide
+from .polynomials import Polynomial, TermOrder, pseudo_divide, scaled_point
 from . import problems as pr
 from .groebner import buchberger, is_unit_basis
 
@@ -323,11 +325,18 @@ def groebner_prove(system: PolynomialSystem,
     generically-true question.  Like wu_prove, it triangulates only when
     some conclusion is not identically zero.
 
+    A unit basis also comes from hypotheses that are inconsistent on their
+    own.  Generic mode's triangulation reports a contradiction it meets as
+    an ERROR.  Strict mode, the first time a goal gives a unit basis,
+    computes the basis of the hypotheses alone, and reports an ERROR when
+    that is the unit ideal too.
+
     Raises ValueError when a system variable is named z or w_k.
     """
     if mode not in (GENERIC, STRICT):
         raise ValueError(f"unknown mode {mode!r}")
     run = _ProofRun(timeout_seconds, trace)
+    hypotheses_checked = mode == GENERIC
 
     try:
         ndg: tuple = ()
@@ -364,6 +373,13 @@ def groebner_prove(system: PolynomialSystem,
                     f"conclusion {i}: not in the radical "
                     f"(basis of {len(basis)} elements, no unit)")
                 return run.outcome(Status.UNPROVED)
+            if not hypotheses_checked:
+                if is_unit_basis(buchberger(list(system.hypotheses), order,
+                                            run.deadline)):
+                    return run.outcome(
+                        Status.ERROR, message="hypotheses are inconsistent: "
+                        "their Groebner basis is {1}")
+                hypotheses_checked = True
             run.note(f"conclusion {i}: radical membership confirmed")
     except DeadlineExceeded:
         return run.outcome(Status.TIMEOUT)
@@ -435,36 +451,47 @@ def numeric_check(system: PolynomialSystem, samples: int, seed: int,
     avoid lists polynomials (e.g. a prover's ndg conditions) that must be
     nonzero at each accepted model.  Zero tolerance: any nonzero conclusion
     value is a Counterexample.  A construction with no random choice is
-    checked on its single model.
+    checked on its single model, drawn once: a degenerate or avoided draw
+    cannot change, so it raises DegenerateExhaustedError at once.
+
+    Each model's coordinates are brought over one common denominator d, and
+    every polynomial p is tested through the exact value d**deg(p) * p(x)
+    (Polynomial.scaled_value), which is an int for int coefficients; only
+    a reported conclusion value becomes a Fraction.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
-    effective = samples if _has_random_choice(system.problem) else 1
+    if _has_random_choice(system.problem):
+        effective, attempts = samples, retry_cap
+    else:
+        effective, attempts = 1, 1
     for _ in range(effective):
         model = None
-        for _attempt in range(retry_cap):
+        for _attempt in range(attempts):
             candidate = solve_construction(system.problem, rng)
             if candidate is None:
                 continue
             env = _model_env(system, candidate)
-            if any(a.evaluate(env) == 0 for a in avoid):
+            d, point = scaled_point(env, env)
+            if any(a.scaled_value(d, point) == 0 for a in avoid):
                 continue
             model = candidate
             break
         if model is None:
             raise DegenerateExhaustedError(
-                f"no admissible model after {retry_cap} draws")
+                f"no admissible model after {attempts} draws")
         for h in system.hypotheses:
-            if h.evaluate(env) != 0:
+            if h.scaled_value(d, point) != 0:
                 raise AssertionError(
                     "sampled model violates a hypothesis; constructor and "
                     "algebraization disagree")
         for idx, g in enumerate(system.conclusions):
-            value = g.evaluate(env)
+            value = g.scaled_value(d, point)
             if value != 0:
-                return Counterexample(model=model, env=env,
-                                      conclusion_index=idx, value=value)
+                return Counterexample(
+                    model=model, env=env, conclusion_index=idx,
+                    value=Fraction(value, d ** g.total_degree))
     return Consistent(samples=effective)
 
 
@@ -475,15 +502,51 @@ class SpawnFailureError(Exception):
     """The external prover process could not be started."""
 
 
+def _capture(proc: subprocess.Popen, timeout_seconds: float | None) -> bytes:
+    """The first TRACE_LIMIT bytes of proc's stdout, read in chunks to EOF
+    (the rest is drained unkept), once proc has exited.
+
+    Raises subprocess.TimeoutExpired when that takes over timeout_seconds.
+    """
+    end = None if timeout_seconds is None else (
+        time.monotonic() + timeout_seconds)
+
+    def left():
+        if end is None:
+            return None
+        rest = end - time.monotonic()
+        if rest <= 0:
+            raise subprocess.TimeoutExpired(proc.args, timeout_seconds)
+        return rest
+
+    kept = bytearray()
+    fd = proc.stdout.fileno()
+    with selectors.DefaultSelector() as sel:
+        sel.register(fd, selectors.EVENT_READ)
+        while True:
+            if not sel.select(left()):
+                continue
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                break
+            if len(kept) < TRACE_LIMIT:
+                kept += chunk[:TRACE_LIMIT - len(kept)]
+    proc.wait(left())
+    proc.stdout.close()
+    return bytes(kept)
+
+
 def external_prove(descriptor: ProverDescriptor, problem_file: str,
                    timeout_seconds: float | None = None) -> ProofOutcome:
     """Run an external prover on a problem file under the exit-code protocol.
 
     Exit 0 is proved, 1 unproved, anything else an error; overrunning the
-    budget kills the process and reports a timeout.  Stdout is kept as the
-    trace, truncated to 1 MiB.  Child CPU time is read from the process
-    accounting of reaped children, so concurrent external runs may blur
-    attribution (wall time is always per-run exact).
+    budget kills the process group and reports a timeout.  The first 1 MiB
+    of stdout is kept as the trace; the rest is read as it comes and
+    dropped, so a chatty prover costs no more memory than that.  Child CPU
+    time is read from the process accounting of reaped children, so
+    concurrent external runs may blur attribution (wall time is always
+    per-run exact).
     """
     if descriptor.kind is not ProverKind.EXTERNAL:
         raise ValueError("descriptor does not describe an external prover")
@@ -504,18 +567,19 @@ def external_prove(descriptor: ProverDescriptor, problem_file: str,
     except OSError as e:
         raise SpawnFailureError(f"cannot start {argv[0]!r}: {e}") from e
     try:
-        out, _ = proc.communicate(timeout=timeout_seconds)
+        out = _capture(proc, timeout_seconds)
     except subprocess.TimeoutExpired:
         try:
             os.killpg(proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
-        proc.communicate()
+        proc.stdout.close()
+        proc.wait()
         return ProofOutcome(status=Status.TIMEOUT,
                             cpu_seconds=child_cpu(),
                             wall_seconds=time.perf_counter() - t0)
     wall = time.perf_counter() - t0
-    trace = out[:TRACE_LIMIT].decode("utf-8", errors="replace") if out else ""
+    trace = out.decode("utf-8", errors="replace")
     if proc.returncode == 0:
         status, message = Status.PROVED, ""
     elif proc.returncode == 1:

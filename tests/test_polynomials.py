@@ -7,9 +7,10 @@ import pytest
 
 from gatpbench.groebner import (buchberger, divide, interreduce, normal_form,
                                 s_polynomial)
-from gatpbench.polynomials import (Monomial, NotUnivariateError, Polynomial,
-                                   TermOrder, as_polynomial, pseudo_divide,
-                                   pseudo_remainder, var)
+from gatpbench.polynomials import (MissingVariableError, Monomial,
+                                   NotUnivariateError, Polynomial, TermOrder,
+                                   as_polynomial, pseudo_divide,
+                                   pseudo_remainder, scaled_point, var)
 
 x, y, z, u, v = (var(n) for n in "xyzuv")
 
@@ -57,6 +58,80 @@ class TestRingLaws:
     def test_int_and_fraction_coercion(self):
         assert 2 * x == x + x
         assert x + Fraction(1, 2) == x + as_polynomial(Fraction(1, 2))
+
+
+def per_term_value(p, env):
+    """The reference evaluator: a plain per-term Fraction sum."""
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        term = Fraction(c)
+        for name, e in m.exps:
+            term *= Fraction(env[name]) ** e
+        total += term
+    return total
+
+
+def random_coefficient(rng, bound=50):
+    if rng.random() < 0.5:
+        return rng.randint(-bound, bound)
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def random_dense_poly(rng, names=("x", "y", "z"), max_deg=6):
+    """Int and Fraction coefficients, total degree up to max_deg."""
+    terms = {}
+    for _ in range(rng.randint(0, 8)):
+        exps, left = {}, rng.randint(0, max_deg)
+        for n in rng.sample(names, len(names)):
+            exps[n] = rng.randint(0, left)
+            left -= exps[n]
+        terms[Monomial(exps)] = random_coefficient(rng)
+    return Polynomial(terms)
+
+
+def mixed_env(rng, names=("x", "y", "z"), bound=40):
+    """Ints and Fractions, negative numerators included."""
+    return {n: (rng.randint(-bound, bound) if rng.random() < 0.4
+                else Fraction(rng.randint(-bound, bound),
+                              rng.randint(1, bound))) for n in names}
+
+
+class TestEvaluation:
+    def test_matches_per_term_fraction_sum(self):
+        rng = random.Random(8)
+        fixed = [Polynomial(), Polynomial.constant(7),
+                 Polynomial.constant(Fraction(-3, 4)), (x - y) ** 6]
+        for i in range(400):
+            p = fixed[i] if i < len(fixed) else random_dense_poly(rng)
+            env = mixed_env(rng)
+            got = p.evaluate(env)
+            assert type(got) is Fraction
+            assert got == per_term_value(p, env)
+
+    def test_scaled_value_is_an_int_for_int_coefficients(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            dense = random_dense_poly(rng).terms
+            p = Polynomial({m: c for m, c in dense.items() if type(c) is int})
+            env = mixed_env(rng)
+            d, numerators = scaled_point(env, env)
+            assert all(env[n] * d == numerators[n] for n in env)
+            value = p.scaled_value(d, numerators)
+            assert type(value) is int
+            assert Fraction(value, d ** max(p.total_degree, 0)) \
+                == per_term_value(p, env)
+
+    def test_float_in_env_raises_type_error(self):
+        with pytest.raises(TypeError):
+            (x + y).evaluate({"x": 1, "y": 0.5})
+        # only the variables the polynomial uses are read
+        assert x.evaluate({"x": 2, "y": 0.5}) == 2
+
+    def test_unbound_variable_raises_missing_variable_error(self):
+        with pytest.raises(MissingVariableError):
+            (x * y + 1).evaluate({"x": Fraction(1, 2)})
+        with pytest.raises(MissingVariableError):
+            (x + 1).scaled_value(1, {"y": 3})
 
 
 class TestStructure:

@@ -1,5 +1,6 @@
 """Wu and Gröbner provers, the numeric oracle, and the external adapter."""
 
+import dataclasses
 import os
 import random
 import stat
@@ -13,9 +14,10 @@ from gatpbench.algebraize import (DEPENDENT, PARAM, PolynomialSystem,
 from gatpbench.corpus import bundled_manifest_path, load_corpus
 from gatpbench.groebner import buchberger, is_unit_basis
 from gatpbench.polynomials import Polynomial, TermOrder, pseudo_remainder, var
+from gatpbench import provers
 from gatpbench.problems import parse_problem
-from gatpbench.provers import (GENERIC, STRICT, Consistent, Counterexample,
-                               DegenerateExhaustedError,
+from gatpbench.provers import (GENERIC, STRICT, TRACE_LIMIT, Consistent,
+                               Counterexample, DegenerateExhaustedError,
                                InconsistentSystemError, SpawnFailureError,
                                Status, external_descriptor, external_prove,
                                _generic_ndg, groebner_prove, numeric_check,
@@ -237,7 +239,8 @@ CHARACTERISED = {
     ("contradictory", "gbm"): (
         Status.ERROR, [], "hypotheses force -1 = 0", None),
     ("contradictory", "strict"): (
-        Status.PROVED, [], "", ["conclusion 1: radical membership confirmed"]),
+        Status.ERROR, [],
+        "hypotheses are inconsistent: their Groebner basis is {1}", None),
 }
 
 
@@ -329,6 +332,31 @@ class TestNumericOracle:
             numeric_check(s, samples=1, seed=0, avoid=[s.hypotheses[0]],
                           retry_cap=8)
 
+    def test_fixed_construction_is_drawn_once(self, monkeypatch):
+        # no random choice, so the one model cannot change by redrawing
+        s = algebraize(parse_problem(
+            "problem FIXED\nfixed A 0 0\nfixed B 2 4\nmidpoint M A B\n"
+            "conjecture collinear A B M\n"))
+        calls = []
+
+        def counted(problem, rng):
+            calls.append(problem)
+            return solve_construction(problem, rng)
+
+        monkeypatch.setattr(provers, "solve_construction", counted)
+        assert numeric_check(s, samples=10, seed=0) == Consistent(samples=1)
+        assert len(calls) == 1
+        with pytest.raises(DegenerateExhaustedError):
+            numeric_check(s, samples=10, seed=0, avoid=[s.hypotheses[0]])
+        assert len(calls) == 2
+
+    def test_hypothesis_violation_is_an_assertion_error(self):
+        s = load("GEO0002")
+        broken = dataclasses.replace(
+            s, hypotheses=(s.hypotheses[0] + 1,) + s.hypotheses[1:])
+        with pytest.raises(AssertionError, match="violates a hypothesis"):
+            numeric_check(broken, samples=1, seed=0)
+
     def test_models_satisfy_prover_ndg_when_avoided(self):
         s = load("GEO0009")
         out = wu_prove(s, timeout_seconds=30)
@@ -371,6 +399,18 @@ class TestExternalAdapter:
         out = external_prove(desc, "p.geo", timeout_seconds=0.5)
         assert out.status is Status.TIMEOUT
         assert 0.5 <= out.wall_seconds < 2.0
+
+    @pytest.mark.parametrize("code,status", [(0, Status.PROVED),
+                                             (1, Status.UNPROVED),
+                                             (5, Status.ERROR)])
+    def test_long_output_is_cut_to_trace_limit(self, tmp_path, code, status):
+        stub = write_stub(tmp_path, "chatty.sh",
+                          f"head -c {8 << 20} /dev/zero | tr '\\0' x\n"
+                          f"exit {code}\n")
+        desc = external_descriptor("chatty", f"{stub} {{input}}")
+        out = external_prove(desc, "p.geo", timeout_seconds=30)
+        assert out.status is status
+        assert out.trace == "x" * TRACE_LIMIT
 
     def test_missing_binary_raises_spawn_failure(self):
         desc = external_descriptor("ghost", "/nope/nothing {input}")
