@@ -18,8 +18,7 @@ from .harness import (DEFAULT_TIMEOUT_SECONDS, CorruptRecordError,
                       ResultsStore, RunConfig, RunRecord, format_record,
                       host_fingerprint, parse_record, run_single, run_suite)
 from .polynomials import (Monomial, NotUnivariateError, Polynomial, Rational,
-                          TermOrder, as_polynomial, pseudo_divide,
-                          pseudo_remainder, var)
+                          TermOrder, as_polynomial, pseudo_divide, var)
 from .groebner import buchberger, divide, is_unit_basis, normal_form, s_polynomial
 from .problems import (BadArityError, DuplicatePointError, ParseError, Problem,
                        ProblemSyntaxError, UndefinedPointError,

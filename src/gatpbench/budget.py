@@ -33,9 +33,6 @@ class Deadline:
     def elapsed(self) -> float:
         return time.perf_counter() - self._t0
 
-    def expired(self) -> bool:
-        return self.limit is not None and self.elapsed() > self.limit
-
     def check(self) -> None:
-        if self.expired():
+        if self.limit is not None and self.elapsed() > self.limit:
             raise DeadlineExceeded(f"budget of {self.limit}s exhausted")

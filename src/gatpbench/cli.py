@@ -22,10 +22,11 @@ from .harness import (DEFAULT_TIMEOUT_SECONDS, CorruptRecordError, ResultsStore,
                       RunConfig, run_suite)
 from .problems import ParseError, parse_problem
 from .provers import (Counterexample, DegenerateExhaustedError,
-                      ReliabilityClass, SpawnFailureError, Status,
-                      external_descriptor, external_prove, groebner_descriptor,
-                      groebner_prove, numeric_check, wu_descriptor, wu_prove)
-from .ranking import (DIMENSIONS, RankingError, report_from_records)
+                      SpawnFailureError, Status, external_descriptor,
+                      external_prove, groebner_descriptor, groebner_prove,
+                      numeric_check, wu_descriptor, wu_prove)
+from .ranking import (DIMENSIONS, NegativeWeightError, RankingError,
+                      report_from_records)
 
 EXIT_OK = 0
 EXIT_NOT_PROVED = 1
@@ -105,6 +106,8 @@ def _parse_weights(text: str) -> dict:
             weights[key] = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"bad weight for {key!r}: {value!r}")
+        if weights[key] < 0:
+            raise UsageError(str(NegativeWeightError(key, weights[key])))
     if not weights:
         raise UsageError("--weights given but empty")
     return weights
@@ -135,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True, metavar="STORE")
     b.add_argument("--repetitions", type=int, default=1, metavar="N")
     b.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker threads")
+                   help="external cells run at once; built-in cells "
+                   "always run one at a time")
 
     r = sub.add_parser("rank", help="report quality rankings from a store")
     r.add_argument("--store", required=True, metavar="STORE")

@@ -13,8 +13,7 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .problems import (ParseError, Problem, ValidationWarning, parse_problem,
-                       validate_problem)
+from .problems import ParseError, Problem, parse_problem
 
 EXPECTED_STATUSES = ("proved", "not-a-theorem", "unknown")
 
@@ -51,7 +50,6 @@ class CorpusEntry:
     path: str
     expected_status: str
     problem: Problem
-    warnings: tuple
 
 
 @dataclass(frozen=True)
@@ -103,10 +101,8 @@ def load_corpus(manifest_path) -> CorpusManifest:
             problem = parse_problem(body)
         except ParseError as e:
             raise CorpusParseError(pid, str(path), e)
-        warnings = tuple(validate_problem(problem))
         entries.append(CorpusEntry(id=pid, path=str(path),
-                                   expected_status=expected,
-                                   problem=problem, warnings=warnings))
+                                   expected_status=expected, problem=problem))
     return CorpusManifest(path=str(manifest_path), entries=tuple(entries))
 
 

@@ -151,31 +151,23 @@ def _chain_criterion(leads, i, j, l, pending_set) -> bool:
 
 def interreduce(polys, order: TermOrder,
                 deadline: Deadline | None = None) -> list[Polynomial]:
-    """Monic, mutually reduced generating set, sorted by descending lead."""
+    """Monic, mutually reduced generating set, sorted by descending lead.
+
+    On a Groebner basis this is the reduced basis of its ideal.
+    """
     work = [p.monic(order) for p in polys if not p.is_zero()]
     # keep only lead-minimal members; process ascending so divisors come first
     work.sort(key=lambda p: order.key(p.leading_monomial(order)))
     kept: list[Polynomial] = []
     for p in work:
         lm = p.leading_monomial(order)
-        if not any(q.leading_monomial(order).divides(lm) for q in kept):
-            kept.append(p)
-    # tail-reduce to a fixpoint; leading monomials are stable here
-    changed = True
-    while changed:
-        changed = False
-        if deadline is not None:
-            deadline.check()
-        for idx, p in enumerate(kept):
-            rest = kept[:idx] + kept[idx + 1:]
-            r = normal_form(p, rest, order, deadline) if rest else p
-            if not r.is_zero():
-                r = r.monic(order)
-            if r != p:
-                kept[idx] = r
-                changed = True
-        kept = [p for p in kept if not p.is_zero()]
-    kept.sort(key=lambda p: order.key(p.leading_monomial(order)), reverse=True)
+        if any(q.leading_monomial(order).divides(lm) for q in kept):
+            continue
+        # a lead divides only terms at or above it, so just the members
+        # before p can reduce p's tail, and they are already final; p's
+        # own lead (coefficient 1) is divisible by none of them
+        kept.append(normal_form(p, kept, order, deadline))
+    kept.reverse()
     return kept
 
 

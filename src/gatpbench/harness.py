@@ -259,23 +259,25 @@ def run_single(problem: Problem, descriptor: ProverDescriptor,
 def run_suite(cfg: RunConfig, store: ResultsStore | None = None) -> list:
     """Every (problem, prover, repetition) cell, deterministically ordered.
 
-    Work is spread over a bounded thread pool; results are sorted by
-    (problem_id, prover_id, repetition) before storing so equal inputs give
-    equal stores modulo timing.
+    Built-in cells run one at a time on the calling thread: they hold the
+    GIL, so running them side by side would only stretch their wall times.
+    External cells then overlap on cfg.parallelism threads, each waiting on
+    its own child process.  Results are sorted by (problem_id, prover_id,
+    repetition) before storing so equal inputs give equal stores modulo
+    timing.
     """
     cells = [(entry.problem, desc, rep)
              for entry in cfg.corpus.entries
              for desc in cfg.provers
              for rep in range(1, cfg.repetitions + 1)]
-    if cfg.parallelism == 1:
-        records = [run_single(p, d, cfg, rep) for p, d, rep in cells]
-    else:
-        # imported here so that importing the package does not load it
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            records = list(pool.map(
-                lambda cell: run_single(cell[0], cell[1], cfg, cell[2]),
-                cells))
+    records = [run_single(p, d, cfg, rep) for p, d, rep in cells
+               if d.kind is not ProverKind.EXTERNAL]
+    # imported here so that importing the package does not load it
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
+        records.extend(pool.map(
+            lambda cell: run_single(cell[0], cell[1], cfg, cell[2]),
+            [c for c in cells if c[1].kind is ProverKind.EXTERNAL]))
     records.sort(key=RunRecord.sort_key)
     if store is not None:
         store.append_many(records)

@@ -606,8 +606,3 @@ def pseudo_divide(f: Polynomial, g: Polynomial, x: str,
         k += 1
         dr = max((m.degree_in(x) for m in r), default=0)
     return _polynomial(q), _polynomial(r), k
-
-
-def pseudo_remainder(f: Polynomial, g: Polynomial, x: str,
-                     deadline: Deadline | None = None) -> Polynomial:
-    return pseudo_divide(f, g, x, deadline)[1]

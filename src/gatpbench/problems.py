@@ -463,9 +463,6 @@ class Problem:
         if not self.conjectures:
             raise ValueError("a problem needs at least one conjecture")
 
-    def points(self):
-        return tuple(s.point for s in self.steps)
-
 
 # ---------------------------------------------------------------------------
 # parsing

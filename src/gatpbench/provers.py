@@ -103,13 +103,10 @@ def groebner_descriptor() -> ProverDescriptor:
         reliability=ReliabilityClass.EXTENSIVELY_TESTED)
 
 
-def external_descriptor(id: str, command_template: str,
-                        readability_level: int = 1,
-                        reliability: ReliabilityClass = ReliabilityClass.UNVERIFIED
-                        ) -> ProverDescriptor:
+def external_descriptor(id: str, command_template: str) -> ProverDescriptor:
+    """An external prover at the least-trusted defaults: readability 1,
+    unverified."""
     return ProverDescriptor(id=id, kind=ProverKind.EXTERNAL,
-                            readability_level=readability_level,
-                            reliability=reliability,
                             command_template=command_template)
 
 
@@ -445,7 +442,7 @@ def _model_env(system: PolynomialSystem, model: dict) -> dict:
 
 
 def numeric_check(system: PolynomialSystem, samples: int, seed: int,
-                  avoid=(), retry_cap: int = RETRY_CAP):
+                  avoid=()):
     """Evaluate every conclusion on exact random models of the hypotheses.
 
     avoid lists polynomials (e.g. a prover's ndg conditions) that must be
@@ -463,7 +460,7 @@ def numeric_check(system: PolynomialSystem, samples: int, seed: int,
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     if _has_random_choice(system.problem):
-        effective, attempts = samples, retry_cap
+        effective, attempts = samples, RETRY_CAP
     else:
         effective, attempts = 1, 1
     for _ in range(effective):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import statistics
-import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,21 +70,17 @@ def de_bruijn_factor(informal_size: int, formal_size: int) -> Fraction:
     """Exact informal/formal size ratio.
 
     A value below 1 means the formal text is the larger one; swapping the
-    arguments gives the reciprocal.  Sizes measured after stream
-    compression (the "apparent" variant) give a ratio computed the same way.
+    arguments gives the reciprocal.
     """
     if informal_size <= 0 or formal_size <= 0:
         raise ZeroSizeError("both sizes must be positive")
     return Fraction(informal_size, formal_size)
 
 
-def de_bruijn_factor_text(informal, formal, compressed: bool = False) -> Fraction:
-    """Factor from the texts themselves; compressed=True ratios zlib sizes."""
+def de_bruijn_factor_text(informal, formal) -> Fraction:
+    """Factor from the byte sizes of the texts themselves."""
     enc_i = informal.encode() if isinstance(informal, str) else bytes(informal)
     enc_f = formal.encode() if isinstance(formal, str) else bytes(formal)
-    if compressed:
-        enc_i = zlib.compress(enc_i)
-        enc_f = zlib.compress(enc_f)
     return de_bruijn_factor(len(enc_i), len(enc_f))
 
 
@@ -147,10 +142,12 @@ def build_quality_profile(records, descriptor: ProverDescriptor,
     """Profile one prover from its run records.
 
     Scope counts only problems where a proof is creditable: corpus entries
-    expected 'proved' or 'unknown'.  Without a corpus every recorded problem
-    counts.  `oracle` maps problem ids to numeric-check results; agreement
-    is the fraction of Proved verdicts the oracle did not contradict with a
-    counterexample, and is 1 when there is nothing to contradict.
+    expected 'proved' or 'unknown', each one whether or not it has a
+    record (one without is Undecided).  Without a corpus every recorded
+    problem counts.  `oracle` maps problem ids to numeric-check results;
+    agreement is the fraction of Proved verdicts the oracle did not
+    contradict with a counterexample, and is 1 when there is nothing to
+    contradict.
     """
     mine = [r for r in records if r.prover_id == descriptor.id]
     if not mine:
@@ -167,12 +164,13 @@ def build_quality_profile(records, descriptor: ProverDescriptor,
                     if e.expected_status in ("proved", "unknown")}
     else:
         eligible = {s.problem_id for s in summaries}
-    considered = [s for s in summaries if s.problem_id in eligible]
-    proved = [s for s in considered if s.status is Status.PROVED]
+    recorded = [s for s in summaries if s.problem_id in eligible]
+    proved = [s for s in recorded if s.status is Status.PROVED]
 
     counts = {cls: 0 for cls in EfficiencyClass}
-    for s in considered:
+    for s in recorded:
         counts[s.efficiency] += 1
+    counts[EfficiencyClass.UNDECIDED] += len(eligible) - len(recorded)
 
     if proved:
         contradicted = sum(
@@ -184,11 +182,11 @@ def build_quality_profile(records, descriptor: ProverDescriptor,
 
     median_proved = (statistics.median(s.median_seconds for s in proved)
                      if proved else None)
-    scope = (Fraction(len(proved), len(considered))
-             if considered else Fraction(0))
+    scope = (Fraction(len(proved), len(eligible))
+             if eligible else Fraction(0))
     return QualityProfile(
         prover_id=descriptor.id, scope_score=scope, proved_count=len(proved),
-        considered_count=len(considered), efficiency_counts=counts,
+        considered_count=len(eligible), efficiency_counts=counts,
         median_proved_seconds=median_proved,
         readability_level=descriptor.readability_level,
         reliability=descriptor.reliability, oracle_agreement=agreement,

@@ -196,6 +196,13 @@ class TestBenchAndRank:
                      "speed=1"]) == 2
         assert main(["rank", "--store", str(store), "--weights",
                      "scope"]) == 2
+        assert main(["rank", "--store", str(store), "--weights",
+                     "scope=abc"]) == 2
+        capsys.readouterr()
+        assert main(["rank", "--store", str(store), "--weights",
+                     "scope=-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: negative weight -1 for 'scope'\n")
 
     def test_unknown_prover_usage_error(self, mini_corpus, tmp_path):
         assert main(["bench", "--corpus", str(mini_corpus), "--provers",

@@ -5,6 +5,7 @@ import pytest
 from gatpbench.corpus import (CorpusParseError, DuplicateIdError,
                               MissingFileError, bundled_manifest_path,
                               corpus_hash, load_corpus)
+from gatpbench.problems import validate_problem
 
 GOOD = ("problem {pid}\nfree A\nfree B\nmidpoint M A B\n"
         "conjecture collinear A M B\n")
@@ -29,7 +30,7 @@ def test_bundled_corpus_loads():
 def test_bundled_problems_parse_cleanly():
     for entry in load_corpus(bundled_manifest_path()).entries:
         assert entry.problem.conjectures
-        assert entry.warnings == ()
+        assert validate_problem(entry.problem) == []
 
 
 def test_hash_is_stable_and_content_sensitive(tmp_path):

@@ -4,8 +4,8 @@ import random
 from fractions import Fraction
 
 from gatpbench import groebner
-from gatpbench.groebner import (buchberger, divide, is_unit_basis,
-                                normal_form, s_polynomial)
+from gatpbench.groebner import (buchberger, divide, interreduce,
+                                is_unit_basis, normal_form, s_polynomial)
 from gatpbench.polynomials import Polynomial, TermOrder, var
 
 x, y, z = var("x"), var("y"), var("z")
@@ -93,6 +93,40 @@ class TestBuchbergerCorrectness:
         basis = buchberger([x, x + 1], LEX_XY)
         assert is_unit_basis(basis)
         assert not is_unit_basis(buchberger([x ** 2], LEX_XY))
+
+
+def _unreduced(basis, order, rng):
+    """The same Groebner basis, neither reduced nor monic nor sorted: each
+    member gets multiples of the others whose leads lie below its own, so
+    every lead and the ideal stay the same; one redundant multiple joins."""
+    lead = [order.key(g.leading_monomial(order)) for g in basis]
+    out = []
+    for i, g in enumerate(basis):
+        for _ in range(6):
+            j = rng.randrange(len(basis))
+            m = x ** rng.randint(0, 1) * y ** rng.randint(0, 2) \
+                * z ** rng.randint(0, 2)
+            h = m * basis[j]
+            if j != i and order.key(h.leading_monomial(order)) < lead[i]:
+                g = g + rng.choice([-3, -1, 2, Fraction(1, 2)]) * h
+        out.append(g * rng.choice([-2, 3, Fraction(-5, 7)]))
+    out.append(x * rng.choice(basis))
+    rng.shuffle(out)
+    return out
+
+
+def test_interreduce_gives_the_reduced_basis():
+    rng = random.Random(2718)
+    lex = TermOrder(TermOrder.LEX, ("x", "y", "z"))
+    checked = 0
+    while checked < 200:
+        order = rng.choice([lex, DRL_XYZ])
+        gens = [random_poly(rng, terms=3) for _ in range(rng.randint(2, 3))]
+        reduced = buchberger(gens, order)
+        if len(reduced) < 2:
+            continue
+        assert interreduce(_unreduced(reduced, order, rng), order) == reduced
+        checked += 1
 
 
 class TestUnitIdealStopsEarly:

@@ -8,10 +8,12 @@ import stat
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
 
+from gatpbench import harness
 from gatpbench.corpus import CorpusManifest, bundled_manifest_path, load_corpus
 from gatpbench.harness import (HEADER, CorruptRecordError, ResultsStore,
                                RunConfig, RunRecord, format_record,
@@ -285,12 +287,37 @@ class TestRunSuite:
 
     def test_parallel_run_is_deterministic_modulo_timing(self, tmp_path):
         corpus = small_corpus("GEO0001", "GEO0002", "NOT0001", "NOT0002")
+        # the stub refutes exactly the NOT entries, like wu does
+        stub = tmp_path / "stub.sh"
+        stub.write_text("#!/bin/sh\n! grep -q '^problem NOT' \"$1\"\n")
+        stub.chmod(stub.stat().st_mode | stat.S_IEXEC)
+        ext = external_descriptor("stub", f"{stub} {{input}}")
         runs = []
-        for jobs in (1, 4):
-            cfg = RunConfig(provers=(wu_descriptor(),), corpus=corpus,
+        for jobs in (1, 2, 4):
+            cfg = RunConfig(provers=(wu_descriptor(), ext), corpus=corpus,
                             timeout_seconds=20.0, parallelism=jobs)
             runs.append([r.timing_free() for r in run_suite(cfg)])
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
+        assert [(r.problem_id, r.prover_id, r.status) for r in runs[0]] == [
+            (pid, prover, Status.UNPROVED if pid.startswith("NOT")
+             else Status.PROVED)
+            for pid in ("GEO0001", "GEO0002", "NOT0001", "NOT0002")
+            for prover in ("stub", "wu")]
+
+    def test_builtin_cells_run_on_the_calling_thread(self, monkeypatch):
+        threads = []
+        prove = harness.wu_prove
+
+        def spy(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return prove(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "wu_prove", spy)
+        corpus = small_corpus("GEO0001", "GEO0002", "NOT0001", "NOT0002")
+        cfg = RunConfig(provers=(wu_descriptor(),), corpus=corpus,
+                        timeout_seconds=20.0, repetitions=2, parallelism=4)
+        assert len(run_suite(cfg)) == 8
+        assert threads == [threading.current_thread()] * 8
 
     def test_suite_appends_to_store(self, tmp_path):
         corpus = small_corpus("GEO0001")

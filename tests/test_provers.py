@@ -13,7 +13,7 @@ from gatpbench.algebraize import (DEPENDENT, PARAM, PolynomialSystem,
                                   Variable, algebraize)
 from gatpbench.corpus import bundled_manifest_path, load_corpus
 from gatpbench.groebner import buchberger, is_unit_basis
-from gatpbench.polynomials import Polynomial, TermOrder, pseudo_remainder, var
+from gatpbench.polynomials import Polynomial, TermOrder, var
 from gatpbench import provers
 from gatpbench.problems import parse_problem
 from gatpbench.provers import (GENERIC, STRICT, TRACE_LIMIT, Consistent,
@@ -329,8 +329,7 @@ class TestNumericOracle:
         s = load("GEO0001")
         # a hypothesis is zero on every model, so it can never be avoided
         with pytest.raises(DegenerateExhaustedError):
-            numeric_check(s, samples=1, seed=0, avoid=[s.hypotheses[0]],
-                          retry_cap=8)
+            numeric_check(s, samples=1, seed=0, avoid=[s.hypotheses[0]])
 
     def test_fixed_construction_is_drawn_once(self, monkeypatch):
         # no random choice, so the one model cannot change by redrawing

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from gatpbench.corpus import bundled_manifest_path, load_corpus
 from gatpbench.harness import RunRecord
-from gatpbench.provers import (Counterexample, ReliabilityClass, Status,
-                               external_descriptor, groebner_descriptor,
+from gatpbench.provers import (Counterexample, ProverDescriptor, ProverKind,
+                               ReliabilityClass, Status, groebner_descriptor,
                                wu_descriptor)
 from gatpbench.ranking import (EfficiencyClass, MissingRecordsError,
                                NegativeWeightError, RankingError,
@@ -71,12 +72,6 @@ class TestDeBruijn:
 
     def test_text_variant(self):
         assert de_bruijn_factor_text("ab", "abcd") == Fraction(1, 2)
-        # compression changes the measured sizes
-        informal = "x" * 4000
-        formal = "the quick brown fox " * 200
-        raw = de_bruijn_factor_text(informal, formal)
-        squeezed = de_bruijn_factor_text(informal, formal, compressed=True)
-        assert raw != squeezed
 
 
 class TestSummaries:
@@ -149,10 +144,33 @@ class TestProfiles:
             wu_descriptor())
         assert base.scope_score == shuffled.scope_score == single.scope_score
 
+    def test_scope_with_a_corpus_counts_unrecorded_entries(self):
+        corpus = load_corpus(bundled_manifest_path())
+        eligible = [e.id for e in corpus.entries
+                    if e.expected_status in ("proved", "unknown")]
+        assert len(eligible) == 13
+        records = [rec(problem=pid, prover="wu",
+                       status=Status.TIMEOUT if i == 0 else Status.PROVED)
+                   for i, pid in enumerate(eligible)]
+        records.append(rec(problem=eligible[1], prover="gbm"))
+        report = report_from_records(
+            records, [wu_descriptor(), groebner_descriptor()], corpus)
+        gbm, wu = report.profiles   # sorted by prover id
+        assert (wu.scope_score, wu.considered_count) == (Fraction(12, 13), 13)
+        assert (gbm.scope_score, gbm.proved_count,
+                gbm.considered_count) == (Fraction(1, 13), 1, 13)
+        # the twelve entries gbm has no record for are undecided
+        assert gbm.efficiency_counts[EfficiencyClass.UNDECIDED] == 12
+        assert gbm.efficiency_counts[EfficiencyClass.GOOD] == 1
+        assert report.dimension_order["scope"] == ["wu", "gbm"]
+        assert "1/13 (1/13)" in report.to_text()
+
 
 def profile(prover="wu", scope=(2, 2), wall=0.01, level=1,
             reliability=ReliabilityClass.EXTENSIVELY_TESTED, db=None):
-    desc = external_descriptor(prover, "true {input}", level, reliability)
+    desc = ProverDescriptor(id=prover, kind=ProverKind.EXTERNAL,
+                            readability_level=level, reliability=reliability,
+                            command_template="true {input}")
     proved, total = scope
     records = []
     for i in range(total):
