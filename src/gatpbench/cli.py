@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
+import threading
 from fractions import Fraction
 
 from .algebraize import AlgebraizeError, algebraize
@@ -189,6 +191,10 @@ def _cmd_prove(args) -> int:
     return EXIT_NOT_PROVED
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def _cmd_bench(args) -> int:
     if args.repetitions < 1 or args.jobs < 1:
         raise UsageError("--repetitions and --jobs must be >= 1")
@@ -198,7 +204,16 @@ def _cmd_bench(args) -> int:
                     timeout_seconds=resolve_timeout(args.timeout),
                     repetitions=args.repetitions, parallelism=args.jobs)
     store = ResultsStore(args.out)
-    records = run_suite(cfg, store)
+    # SIGTERM stops the run the way Ctrl-C does, so that run_suite kills the
+    # external provers it started (they run in sessions of their own)
+    on_main = threading.current_thread() is threading.main_thread()
+    if on_main:
+        previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        records = run_suite(cfg, store)
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
     print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
     return EXIT_OK
 

@@ -29,7 +29,7 @@ from .corpus import CorpusManifest
 from .problems import Problem, render_problem
 from .provers import (ProofOutcome, ProverDescriptor, ProverKind,
                       SpawnFailureError, Status, external_prove,
-                      groebner_prove, wu_prove)
+                      groebner_prove, kill_external_provers, wu_prove)
 
 DEFAULT_TIMEOUT_SECONDS = 60.0
 
@@ -262,9 +262,10 @@ def run_suite(cfg: RunConfig, store: ResultsStore | None = None) -> list:
     Built-in cells run one at a time on the calling thread: they hold the
     GIL, so running them side by side would only stretch their wall times.
     External cells then overlap on cfg.parallelism threads, each waiting on
-    its own child process.  Results are sorted by (problem_id, prover_id,
-    repetition) before storing so equal inputs give equal stores modulo
-    timing.
+    its own child process; an exception that stops the run, such as
+    KeyboardInterrupt, kills those children before it propagates.  Results
+    are sorted by (problem_id, prover_id, repetition) before storing so
+    equal inputs give equal stores modulo timing.
     """
     cells = [(entry.problem, desc, rep)
              for entry in cfg.corpus.entries
@@ -273,11 +274,21 @@ def run_suite(cfg: RunConfig, store: ResultsStore | None = None) -> list:
     records = [run_single(p, d, cfg, rep) for p, d, rep in cells
                if d.kind is not ProverKind.EXTERNAL]
     # imported here so that importing the package does not load it
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor, wait
     with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-        records.extend(pool.map(
-            lambda cell: run_single(cell[0], cell[1], cfg, cell[2]),
-            [c for c in cells if c[1].kind is ProverKind.EXTERNAL]))
+        futures = [pool.submit(run_single, p, d, cfg, rep)
+                   for p, d, rep in cells if d.kind is ProverKind.EXTERNAL]
+        try:
+            records.extend(f.result() for f in futures)
+        except BaseException:
+            # stopped (a signal, an error): start no further cell and kill
+            # the children of the running ones, also one that starts late,
+            # so that leaving the pool does not wait for them to finish
+            running = [f for f in futures if not f.cancel()]
+            while running:
+                kill_external_provers()
+                running = list(wait(running, timeout=0.05).not_done)
+            raise
     records.sort(key=RunRecord.sort_key)
     if store is not None:
         store.append_many(records)

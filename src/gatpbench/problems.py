@@ -31,15 +31,21 @@ A predicate declares its polynomial `equations` and the `degenerate`
 reason that makes them vacuous.  A step's first field is the point it
 introduces; it declares the `roles` of that point's x and y coordinates
 (PARAM, DEPENDENT or CONSTANT), the predicates its hypotheses assert
-(`asserts`), its `ndg_hint`, its exact rational solver (`solve`) and its
+(`asserts`), its `ndg_hint`, its exact solver (`solve`) and its
 `degenerate` reason; it may also reject its own text outright
 (`parse_error`).  Adding a construct means adding one such class.  Every
 step's asserted predicates must hold on every model its solver returns,
 and every DEPENDENT coordinate must occur in some asserted equation.
+
+A solver works in integer homogeneous coordinates: it takes and returns
+each point as an int triple (X, Y, W) standing for (X/W, Y/W), normalised
+by `homogeneous`, and its random choices are ints, so drawing a model
+builds no Fraction.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -237,10 +243,25 @@ class OnCircleOf(Predicate, keyword="on_circle_of"):
 
 
 # ---------------------------------------------------------------------------
-# construction steps; `pts` maps earlier points to exact coordinates and
-# `draw()` returns a random rational
+# construction steps; `pts` maps earlier points to integer homogeneous
+# coordinates and `draw()` returns a random int
 
 STEPS: dict = {}   # keyword -> step class
+
+
+def homogeneous(x: int, y: int, w: int) -> tuple:
+    """The point (x/w, y/w) as (X, Y, W) with W > 0 and gcd(X, Y, W) = 1;
+    w must not be zero."""
+    if w < 0:
+        x, y, w = -x, -y, -w
+    g = math.gcd(x, y, w)
+    return x // g, y // g, w // g
+
+
+def rational_point(p: tuple) -> tuple:
+    """The (Fraction, Fraction) coordinates of a homogeneous point."""
+    x, y, w = p
+    return Fraction(x, w), Fraction(y, w)
 
 
 class Step(_Construct):
@@ -262,7 +283,8 @@ class Step(_Construct):
         return None
 
     def solve(self, pts, draw):
-        """Exact (x, y) of the new point, or None on a degenerate draw."""
+        """The new point as a normalised (X, Y, W) int triple (see
+        homogeneous), or None on a degenerate draw."""
         raise NotImplementedError
 
 
@@ -272,7 +294,7 @@ class Free(Step, keyword="free"):
     roles = (PARAM, PARAM)
 
     def solve(self, pts, draw):
-        return draw(), draw()
+        return draw(), draw(), 1
 
 
 @dataclass(frozen=True)
@@ -283,7 +305,10 @@ class Fixed(Step, keyword="fixed"):
     roles = (CONSTANT, CONSTANT)
 
     def solve(self, pts, draw):
-        return self.x, self.y
+        x, y = self.x, self.y
+        return homogeneous(x.numerator * y.denominator,
+                           y.numerator * x.denominator,
+                           x.denominator * y.denominator)
 
 
 @dataclass(frozen=True)
@@ -296,8 +321,8 @@ class Midpoint(Step, keyword="midpoint"):
         return (MidpointOf(self.point, self.a, self.b),)
 
     def solve(self, pts, draw):
-        (xa, ya), (xb, yb) = pts[self.a], pts[self.b]
-        return (xa + xb) / 2, (ya + yb) / 2
+        (xa, ya, wa), (xb, yb, wb) = pts[self.a], pts[self.b]
+        return homogeneous(xa * wb + xb * wa, ya * wb + yb * wa, 2 * wa * wb)
 
 
 @dataclass(frozen=True)
@@ -319,11 +344,18 @@ class OnLine(Step, keyword="on_line"):
         return None
 
     def solve(self, pts, draw):
-        (xa, ya), (xb, yb) = pts[self.a], pts[self.b]
-        if xa == xb:
+        (xa, ya, wa), (xb, yb, wb) = pts[self.a], pts[self.b]
+        # (dx, dy) = (b - a) * wa * wb
+        dx, dy = xb * wa - xa * wb, yb * wa - ya * wb
+        if dx == 0:
             return None
         x = draw()
-        return x, ya + (x - xa) * (yb - ya) / (xb - xa)
+        return homogeneous(x * wa * dx, ya * dx + (x * wa - xa) * dy, wa * dx)
+
+
+def _line(xa, ya, wa, xb, yb, wb) -> tuple:
+    """The line through two homogeneous points, as their cross product."""
+    return ya * wb - wa * yb, wa * xb - xa * wb, xa * yb - ya * xb
 
 
 @dataclass(frozen=True)
@@ -352,16 +384,13 @@ class InterLL(Step, keyword="inter"):
         return None
 
     def solve(self, pts, draw):
-        (xa, ya), (xb, yb) = pts[self.a], pts[self.b]
-        (xc, yc), (xd, yd) = pts[self.c], pts[self.d]
-        a1, b1 = -(yb - ya), xb - xa
-        c1 = a1 * xa + b1 * ya
-        a2, b2 = -(yd - yc), xd - xc
-        c2 = a2 * xc + b2 * yc
-        det = a1 * b2 - a2 * b1
-        if det == 0:
+        a1, b1, c1 = _line(*pts[self.a], *pts[self.b])
+        a2, b2, c2 = _line(*pts[self.c], *pts[self.d])
+        # w is the cross product of the two directions times every input w
+        w = a1 * b2 - a2 * b1
+        if w == 0:
             return None
-        return (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
+        return homogeneous(b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, w)
 
 
 @dataclass(frozen=True)
@@ -384,14 +413,18 @@ class Foot(Step, keyword="foot"):
         return None
 
     def solve(self, pts, draw):
-        (xp, yp) = pts[self.src]
-        (xa, ya), (xb, yb) = pts[self.a], pts[self.b]
-        dx, dy = xb - xa, yb - ya
+        (xp, yp, wp) = pts[self.src]
+        (xa, ya, wa), (xb, yb, wb) = pts[self.a], pts[self.b]
+        # (dx, dy) = (b - a) * wa * wb and (px, py) = (p - a) * wa * wp
+        dx, dy = xb * wa - xa * wb, yb * wa - ya * wb
         d2 = dx * dx + dy * dy
         if d2 == 0:
             return None
-        t = ((xp - xa) * dx + (yp - ya) * dy) / d2
-        return xa + t * dx, ya + t * dy
+        px, py = xp * wa - xa * wp, yp * wa - ya * wp
+        # a + t * (b - a) with t = (px * dx + py * dy) * wb / (wp * d2)
+        t = px * dx + py * dy
+        w = wp * d2
+        return homogeneous(xa * w + t * dx, ya * w + t * dy, wa * w)
 
 
 @dataclass(frozen=True)
@@ -410,14 +443,17 @@ class OnCircle(Step, keyword="on_circle"):
         return None
 
     def solve(self, pts, draw):
-        (xo, yo) = pts[self.center]
-        (xa, ya) = pts[self.through]
-        # rational point on the unit circle via the half-angle chord
+        (xo, yo, wo) = pts[self.center]
+        (xa, ya, wa) = pts[self.through]
+        # rational point on the unit circle via the half-angle chord:
+        # (c, s) = (1 - t*t, 2*t) / den
         t = draw()
         den = 1 + t * t
-        c, s = (1 - t * t) / den, 2 * t / den
-        vx, vy = xa - xo, ya - yo
-        return xo + c * vx - s * vy, yo + s * vx + c * vy
+        c, s = 1 - t * t, 2 * t
+        # (vx, vy) = (a - o) * wa * wo
+        vx, vy = xa * wo - xo * wa, ya * wo - yo * wa
+        return homogeneous(xo * wa * den + c * vx - s * vy,
+                           yo * wa * den + s * vx + c * vy, wo * wa * den)
 
 
 @dataclass(frozen=True)
@@ -440,16 +476,22 @@ class Circumcenter(Step, keyword="circumcenter"):
         return None
 
     def solve(self, pts, draw):
-        (xa, ya), (xb, yb) = pts[self.a], pts[self.b]
-        (xc, yc) = pts[self.c]
-        a1, b1 = 2 * (xb - xa), 2 * (yb - ya)
-        c1 = xb * xb + yb * yb - xa * xa - ya * ya
-        a2, b2 = 2 * (xc - xa), 2 * (yc - ya)
-        c2 = xc * xc + yc * yc - xa * xa - ya * ya
-        det = a1 * b2 - a2 * b1
+        (xa, ya, wa), (xb, yb, wb) = pts[self.a], pts[self.b]
+        (xc, yc, wc) = pts[self.c]
+        # with a at the origin, (bx, by) = (b - a) * wa * wb and
+        # (cx, cy) = (c - a) * wa * wc
+        bx, by = xb * wa - xa * wb, yb * wa - ya * wb
+        cx, cy = xc * wa - xa * wc, yc * wa - ya * wc
+        det = bx * cy - by * cx
         if det == 0:
             return None
-        return (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
+        # the centre is a + (cy*|b|^2 - by*|c|^2, bx*|c|^2 - cx*|b|^2)
+        # / (2*det) for b and c taken from a; scaled, that is
+        # a + (cy*b2 - by*c2, bx*c2 - cx*b2) / (wa * w)
+        b2, c2 = (bx * bx + by * by) * wc, (cx * cx + cy * cy) * wb
+        w = 2 * det * wb * wc
+        return homogeneous(xa * w + cy * b2 - by * c2,
+                           ya * w + bx * c2 - cx * b2, wa * w)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ whether the Buchberger basis collapses to {1}; generic mode additionally
 inverts each nondegeneracy polynomial d_k with its own fresh variable,
 1 - w_k*d_k, mirroring what wu_prove assumes.
 
-numeric_check draws exact rational models of the construction and evaluates
-every conclusion with zero tolerance, in int arithmetic over one common
-denominator per model; it refutes modeling mistakes cheaply and
-cross-checks prover verdicts.
+numeric_check draws exact rational models of the construction, solved in
+integer homogeneous coordinates, and evaluates every conclusion with zero
+tolerance, in int arithmetic over one common denominator per model; it
+refutes modeling mistakes cheaply and cross-checks prover verdicts.
 
 external_prove runs a prover subprocess on a rendered problem file under
 the exit-code protocol: 0 proved, 1 unproved, anything else an error.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import os
 import random
 import resource
@@ -30,13 +31,14 @@ import selectors
 import shlex
 import signal
 import subprocess
+import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebraize import PolynomialSystem
 from .budget import Deadline, DeadlineExceeded
-from .polynomials import Polynomial, TermOrder, pseudo_divide, scaled_point
+from .polynomials import Polynomial, TermOrder, pseudo_divide
 from . import problems as pr
 from .groebner import buchberger, is_unit_basis
 
@@ -409,36 +411,22 @@ class Counterexample:
     value: Fraction
 
 
-def _rand(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND))
-
-
 def solve_construction(problem: pr.Problem, rng: random.Random):
-    """One exact rational model of the construction, or None when the draw
-    hits a degenerate configuration (vertical base line, parallel lines,
-    flat triangle)."""
-    draw = functools.partial(_rand, rng)
+    """One exact model of the construction, point -> (X, Y, W) int triple
+    for (X/W, Y/W), or None when the draw hits a degenerate configuration
+    (vertical base line, parallel lines, flat triangle)."""
+    draw = functools.partial(rng.randint, -SAMPLE_BOUND, SAMPLE_BOUND)
     pts: dict = {}
     for step in problem.steps:
-        xy = step.solve(pts, draw)
-        if xy is None:
+        xyw = step.solve(pts, draw)
+        if xyw is None:
             return None
-        pts[step.point] = xy
+        pts[step.point] = xyw
     return pts
 
 
 def _has_random_choice(problem: pr.Problem) -> bool:
     return any(pr.PARAM in s.roles for s in problem.steps)
-
-
-def _model_env(system: PolynomialSystem, model: dict) -> dict:
-    env = {}
-    for point, (cx, cy) in system.assignment.items():
-        vx, vy = model[point]
-        for coord, val in ((cx, vx), (cy, vy)):
-            if hasattr(coord, "name"):
-                env[coord.name] = val
-    return env
 
 
 def numeric_check(system: PolynomialSystem, samples: int, seed: int,
@@ -451,13 +439,20 @@ def numeric_check(system: PolynomialSystem, samples: int, seed: int,
     checked on its single model, drawn once: a degenerate or avoided draw
     cannot change, so it raises DegenerateExhaustedError at once.
 
-    Each model's coordinates are brought over one common denominator d, and
-    every polynomial p is tested through the exact value d**deg(p) * p(x)
-    (Polynomial.scaled_value), which is an int for int coefficients; only
-    a reported conclusion value becomes a Fraction.
+    Models are drawn and solved in integer homogeneous coordinates
+    (solve_construction).  The common denominator d of a model is the lcm of
+    the W of each point that holds variables, and every polynomial p is
+    tested through the exact value d**deg(p) * p(x)
+    (Polynomial.scaled_value), which is an int for int coefficients; only a
+    reported counterexample becomes Fractions.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    # (point, x variable or None, y variable or None) of each point that
+    # holds a variable
+    layout = [(point, getattr(cx, "name", None), getattr(cy, "name", None))
+              for point, (cx, cy) in system.assignment.items()
+              if hasattr(cx, "name") or hasattr(cy, "name")]
     rng = random.Random(seed)
     if _has_random_choice(system.problem):
         effective, attempts = samples, RETRY_CAP
@@ -469,8 +464,15 @@ def numeric_check(system: PolynomialSystem, samples: int, seed: int,
             candidate = solve_construction(system.problem, rng)
             if candidate is None:
                 continue
-            env = _model_env(system, candidate)
-            d, point = scaled_point(env, env)
+            d = math.lcm(*(candidate[p][2] for p, _, _ in layout))
+            point = {}
+            for p, nx, ny in layout:
+                x, y, w = candidate[p]
+                k = d // w
+                if nx is not None:
+                    point[nx] = x * k
+                if ny is not None:
+                    point[ny] = y * k
             if any(a.scaled_value(d, point) == 0 for a in avoid):
                 continue
             model = candidate
@@ -487,7 +489,10 @@ def numeric_check(system: PolynomialSystem, samples: int, seed: int,
             value = g.scaled_value(d, point)
             if value != 0:
                 return Counterexample(
-                    model=model, env=env, conclusion_index=idx,
+                    model={p: pr.rational_point(xyw)
+                           for p, xyw in model.items()},
+                    env={name: Fraction(v, d) for name, v in point.items()},
+                    conclusion_index=idx,
                     value=Fraction(value, d ** g.total_degree))
     return Consistent(samples=effective)
 
@@ -497,6 +502,26 @@ def numeric_check(system: PolynomialSystem, samples: int, seed: int,
 
 class SpawnFailureError(Exception):
     """The external prover process could not be started."""
+
+
+# every external prover process that is running, so that a stopped run can
+# take them down (kill_external_provers)
+_LIVE: set = set()
+_LIVE_LOCK = threading.Lock()
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+def kill_external_provers() -> None:
+    """SIGKILL the process group of every external prover still running."""
+    with _LIVE_LOCK:
+        for proc in _LIVE:
+            _kill_group(proc)
 
 
 def _capture(proc: subprocess.Popen, timeout_seconds: float | None) -> bytes:
@@ -538,12 +563,13 @@ def external_prove(descriptor: ProverDescriptor, problem_file: str,
     """Run an external prover on a problem file under the exit-code protocol.
 
     Exit 0 is proved, 1 unproved, anything else an error; overrunning the
-    budget kills the process group and reports a timeout.  The first 1 MiB
-    of stdout is kept as the trace; the rest is read as it comes and
-    dropped, so a chatty prover costs no more memory than that.  Child CPU
-    time is read from the process accounting of reaped children, so
-    concurrent external runs may blur attribution (wall time is always
-    per-run exact).
+    budget kills the process group and reports a timeout.  An exception that
+    interrupts the call kills the group too, and so does
+    kill_external_provers from another thread.  The first 1 MiB of stdout
+    is kept as the trace; the rest is read as it comes and dropped, so a
+    chatty prover costs no more memory than that.  Child CPU time is read
+    from the process accounting of reaped children, so concurrent external
+    runs may blur attribution (wall time is always per-run exact).
     """
     if descriptor.kind is not ProverKind.EXTERNAL:
         raise ValueError("descriptor does not describe an external prover")
@@ -563,18 +589,24 @@ def external_prove(descriptor: ProverDescriptor, problem_file: str,
                                 start_new_session=True)
     except OSError as e:
         raise SpawnFailureError(f"cannot start {argv[0]!r}: {e}") from e
+    with _LIVE_LOCK:
+        _LIVE.add(proc)
     try:
         out = _capture(proc, timeout_seconds)
     except subprocess.TimeoutExpired:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
+        _kill_group(proc)
         proc.stdout.close()
         proc.wait()
         return ProofOutcome(status=Status.TIMEOUT,
                             cpu_seconds=child_cpu(),
                             wall_seconds=time.perf_counter() - t0)
+    except BaseException:
+        # interrupted on the calling thread: the child goes down with it
+        _kill_group(proc)
+        raise
+    finally:
+        with _LIVE_LOCK:
+            _LIVE.discard(proc)
     wall = time.perf_counter() - t0
     trace = out.decode("utf-8", errors="replace")
     if proc.returncode == 0:

@@ -8,7 +8,8 @@ import pytest
 from gatpbench.algebraize import (DegenerateConstructionError, algebraize,
                                   translate_predicate)
 from gatpbench.polynomials import var
-from gatpbench.problems import (Collinear, EqDist, Parallel, parse_problem)
+from gatpbench.problems import (Collinear, EqDist, Parallel, parse_problem,
+                                rational_point)
 from gatpbench.provers import solve_construction
 
 
@@ -112,7 +113,7 @@ def test_models_satisfy_hypotheses_exactly():
             continue
         env = {}
         for point, (cx, cy) in s.assignment.items():
-            vx, vy = model[point]
+            vx, vy = rational_point(model[point])
             for coord, val in ((cx, vx), (cy, vy)):
                 if hasattr(coord, "name"):
                     env[coord.name] = val

@@ -1,12 +1,20 @@
 """Command-line interface: flows and the exit-code contract."""
 
+import os
+import signal
 import stat
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import gatpbench
 from gatpbench.cli import main, resolve_timeout, UsageError
 from gatpbench.corpus import bundled_manifest_path
+
+from test_provers import kill_survivors
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "gatpbench" / "data"
 MANIFEST = str(bundled_manifest_path())
@@ -217,3 +225,46 @@ class TestBenchAndRank:
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
         assert main(["rank", "--store", str(empty)]) == 2
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs procfs")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
+def test_stopped_bench_kills_external_provers(mini_corpus, tmp_path, signum):
+    """bench stopped by a signal takes its external provers down with it:
+    the running one and its helper are killed, the queued one never starts."""
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    stub = tmp_path / "sleeper.sh"
+    stub.write_text("#!/bin/sh\nsleep 30 &\n"
+                    f"echo $$ $! > {pids}/$$.tmp\n"
+                    f"mv {pids}/$$.tmp {pids}/$$\nwait\n")
+    stub.chmod(stub.stat().st_mode | stat.S_IEXEC)
+    src = Path(gatpbench.__file__).resolve().parent.parent
+    bench = subprocess.Popen(
+        [sys.executable, "-m", "gatpbench.cli", "bench", "--corpus",
+         str(mini_corpus), "--provers", "sleeper", "--external",
+         f"sleeper={stub} {{input}}", "--timeout", "60",
+         "--out", str(tmp_path / "runs.tsv")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        # as from a terminal, whatever the test runner ignores
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        deadline = time.monotonic() + 30
+        while not (started := [f for f in pids.iterdir()
+                               if f.suffix != ".tmp"]):
+            assert time.monotonic() < deadline, "no external prover started"
+            time.sleep(0.05)
+        t0 = time.monotonic()
+        bench.send_signal(signum)
+        bench.wait(timeout=5)
+        assert time.monotonic() - t0 < 5
+        assert bench.returncode != 0
+        assert [f.name for f in pids.iterdir()] == [started[0].name]
+    finally:
+        if bench.poll() is None:
+            bench.kill()
+            bench.wait()
+        survivors = kill_survivors([int(pid) for f in pids.iterdir()
+                                    for pid in f.read_text().split()])
+    assert survivors == []

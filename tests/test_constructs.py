@@ -19,7 +19,8 @@ import pytest
 from gatpbench.algebraize import AlgebraizeError, Variable, algebraize
 from gatpbench.corpus import bundled_manifest_path, load_corpus
 from gatpbench.problems import (PREDICATES, STEPS, ParseError, parse_problem,
-                                render_problem, validate_problem)
+                                rational_point, render_problem,
+                                validate_problem)
 from gatpbench.provers import solve_construction, wu_prove
 
 GOLDEN_DIGEST = (
@@ -103,7 +104,8 @@ SAMPLES = 20
 def _model_text(model):
     if model is None:
         return "degenerate"
-    return " ".join(f"{k}=({x},{y})" for k, (x, y) in sorted(model.items()))
+    return " ".join(f"{k}=({x},{y})" for k, (x, y) in sorted(
+        (k, rational_point(p)) for k, p in model.items()))
 
 
 def _system_lines(problem):
@@ -194,6 +196,6 @@ def test_construct_round_trips_and_models_satisfy_hypotheses(text):
     for model in models:
         env = {c.name: v
                for point, coords in system.assignment.items()
-               for c, v in zip(coords, model[point])
+               for c, v in zip(coords, rational_point(model[point]))
                if isinstance(c, Variable)}
         assert all(h.evaluate(env) == 0 for h in system.hypotheses)

@@ -1,10 +1,14 @@
 """Wu and Gröbner provers, the numeric oracle, and the external adapter."""
 
+import contextlib
 import dataclasses
 import os
 import random
+import signal
 import stat
 import textwrap
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -356,12 +360,58 @@ class TestNumericOracle:
         with pytest.raises(AssertionError, match="violates a hypothesis"):
             numeric_check(broken, samples=1, seed=0)
 
+    def test_consistent_check_builds_no_fraction(self, monkeypatch):
+        """Draws, solving and evaluation are int arithmetic: a check that
+        comes back Consistent constructs no Fraction at all."""
+        systems = [algebraize(e.problem)
+                   for e in load_corpus(bundled_manifest_path()).entries]
+        built = []
+
+        def counted(original):
+            def wrapper(*args, **kwargs):
+                built.append(args)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Fraction, "__new__", counted(Fraction.__new__))
+        if "_from_coprime_ints" in vars(Fraction):  # Python 3.12 and later
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+                counted(Fraction._from_coprime_ints.__func__)))
+        consistent = 0
+        for system in systems:
+            before = len(built)
+            if isinstance(numeric_check(system, samples=100, seed=0),
+                          Consistent):
+                consistent += 1
+                assert len(built) == before, system.problem.id
+        assert consistent == 13
+
     def test_models_satisfy_prover_ndg_when_avoided(self):
         s = load("GEO0009")
         out = wu_prove(s, timeout_seconds=30)
         rng = random.Random(0)
         got = numeric_check(s, samples=20, seed=9, avoid=out.ndg_conditions)
         assert isinstance(got, Consistent)
+
+
+def kill_survivors(pids, grace=2.0) -> list:
+    """The pids still live after up to grace seconds, which are then
+    killed; a zombie awaiting its reaper counts as gone."""
+    def live(pid):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + grace
+    while any(map(live, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = [pid for pid in pids if live(pid)]
+    for pid in survivors:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    return survivors
 
 
 def write_stub(tmp_path, name, body):
@@ -415,6 +465,28 @@ class TestExternalAdapter:
         desc = external_descriptor("ghost", "/nope/nothing {input}")
         with pytest.raises(SpawnFailureError):
             external_prove(desc, "p.geo", 5)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="needs procfs")
+    def test_interrupt_kills_the_process_group(self, tmp_path):
+        pids = tmp_path / "pids"
+        stub = write_stub(tmp_path, "sleeper.sh",
+                          f"sleep 30 &\necho $$ $! > {pids}\nwait\n")
+        desc = external_descriptor("sleeper", f"{stub} {{input}}")
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(KeyboardInterrupt):
+                external_prove(desc, "p.geo", timeout_seconds=30)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert kill_survivors([int(p) for p in pids.read_text().split()]) \
+            == []
 
 
 def test_solve_construction_covers_every_constructor():
