@@ -74,6 +74,9 @@ def _parse_external(specs) -> list:
         ident, sep, template = spec.partition("=")
         if not sep or not ident or not template:
             raise UsageError(f"--external wants ID=TEMPLATE, got {spec!r}")
+        if ident in _BUILTINS or any(d.id == ident for d in out):
+            raise UsageError(f"--external id {ident!r} is a built-in prover "
+                             "or declared twice")
         out.append(external_descriptor(ident, template))
     return out
 
@@ -82,6 +85,8 @@ def _parse_provers(listing: str, externals) -> list:
     byid = {d.id: d for d in externals}
     out = []
     for name in filter(None, (s.strip() for s in listing.split(","))):
+        if any(d.id == name for d in out):
+            raise UsageError(f"prover {name!r} listed twice")
         if name in _BUILTINS:
             out.append(_BUILTINS[name]())
         elif name in byid:

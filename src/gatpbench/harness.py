@@ -54,6 +54,8 @@ class RunConfig:
     def __post_init__(self):
         if not self.provers:
             raise ValueError("at least one prover")
+        if len({d.id for d in self.provers}) < len(self.provers):
+            raise ValueError("prover ids must be distinct")
         budget_seconds(self.timeout_seconds)
         if self.repetitions < 1 or self.parallelism < 1:
             raise ValueError("repetitions and parallelism must be >= 1")

@@ -6,9 +6,9 @@ a zero final remainder means the conjecture holds generically, modulo the
 nonvanishing of the chain initials (reported as ndg conditions).
 
 groebner_prove decides radical membership by adjoining 1 - z*g and testing
-whether the Buchberger basis collapses to {1}; generic mode additionally
-inverts each nondegeneracy polynomial d_k with its own fresh variable,
-1 - w_k*d_k, mirroring what wu_prove assumes.
+whether the Buchberger basis collapses to {1}; it inverts each
+nondegeneracy polynomial d_k with its own fresh variable, 1 - w_k*d_k,
+mirroring what wu_prove assumes.
 
 numeric_check draws exact rational models of the construction, solved in
 integer homogeneous coordinates, and evaluates every conclusion with zero
@@ -309,40 +309,24 @@ def wu_prove(system: PolynomialSystem,
 # ---------------------------------------------------------------------------
 # Groebner radical membership
 
-GENERIC = "generic"
-STRICT = "strict"
-
-
 def groebner_prove(system: PolynomialSystem,
                    timeout_seconds: float | None = None,
-                   mode: str = GENERIC,
                    trace: bool = False) -> ProofOutcome:
     """Radical-membership prover: g vanishes on V(hypotheses) iff
-    1 lies in <hypotheses, 1 - z*g>.  Generic mode additionally adjoins
-    1 - w_k*d_k for each Wu nondegeneracy polynomial d_k, one fresh
-    variable per factor, so the two built-in provers answer the same
-    generically-true question.  Like wu_prove, it triangulates only when
-    some conclusion is not identically zero.
-
-    A unit basis also comes from hypotheses that are inconsistent on their
-    own.  Generic mode's triangulation reports a contradiction it meets as
-    an ERROR.  Strict mode, the first time a goal gives a unit basis,
-    computes the basis of the hypotheses alone, and reports an ERROR when
-    that is the unit ideal too.
+    1 lies in <hypotheses, 1 - z*g>.  It also adjoins 1 - w_k*d_k for each
+    Wu nondegeneracy polynomial d_k, one fresh variable per factor, so the
+    two built-in provers answer the same generically-true question.  Like
+    wu_prove, it triangulates only when some conclusion is not identically
+    zero, and reports a contradiction that triangulation meets as an ERROR.
 
     Raises ValueError when a system variable is named z or w_k.
     """
-    if mode not in (GENERIC, STRICT):
-        raise ValueError(f"unknown mode {mode!r}")
     run = _ProofRun(timeout_seconds, trace)
-    hypotheses_checked = mode == GENERIC
 
     try:
-        ndg: tuple = ()
-        if mode == GENERIC:
-            needed = any(not g.is_zero() for g in system.conclusions)
-            ndg = _generic_ndg(
-                wu_triangulate(system, run.deadline) if needed else [], system)
+        needed = any(not g.is_zero() for g in system.conclusions)
+        ndg = _generic_ndg(
+            wu_triangulate(system, run.deadline) if needed else [], system)
         fresh = ["z"] + [f"w{k}" for k in range(1, len(ndg) + 1)]
         clash = ({v.name for v in system.params}
                  | {v.name for v in system.dependents}).intersection(fresh)
@@ -372,13 +356,6 @@ def groebner_prove(system: PolynomialSystem,
                     f"conclusion {i}: not in the radical "
                     f"(basis of {len(basis)} elements, no unit)")
                 return run.outcome(Status.UNPROVED)
-            if not hypotheses_checked:
-                if is_unit_basis(buchberger(list(system.hypotheses), order,
-                                            run.deadline)):
-                    return run.outcome(
-                        Status.ERROR, message="hypotheses are inconsistent: "
-                        "their Groebner basis is {1}")
-                hypotheses_checked = True
             run.note(f"conclusion {i}: radical membership confirmed")
     except DeadlineExceeded:
         return run.outcome(Status.TIMEOUT)

@@ -221,6 +221,28 @@ class TestBenchAndRank:
                      "wu", "--external", "nonsense",
                      "--out", str(tmp_path / "r.tsv")]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--provers", "wu,wu"],
+        ["--provers", "wu", "--external", "wu=false {input}"],
+        ["--provers", "ext", "--external", "ext=true {input}",
+         "--external", "ext=false {input}"],
+    ], ids=["builtin-twice", "external-shadows-builtin", "external-twice"])
+    def test_colliding_prover_ids_usage_error(self, mini_corpus, tmp_path,
+                                              flags):
+        # two provers under one id would merge their records in the store
+        store = tmp_path / "r.tsv"
+        assert main(["bench", "--corpus", str(mini_corpus), *flags,
+                     "--timeout", "10", "--out", str(store)]) == 2
+        assert not store.exists()
+
+    def test_rank_rejects_external_with_builtin_id(self, mini_corpus,
+                                                   tmp_path):
+        store = tmp_path / "runs.tsv"
+        main(["bench", "--corpus", str(mini_corpus), "--provers", "wu",
+              "--timeout", "20", "--out", str(store)])
+        assert main(["rank", "--store", str(store), "--external",
+                     "wu=false {input}"]) == 2
+
     def test_empty_store_usage_error(self, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("")

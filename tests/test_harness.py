@@ -332,6 +332,10 @@ class TestRunSuite:
         corpus = small_corpus("GEO0001")
         with pytest.raises(ValueError):
             RunConfig(provers=(), corpus=corpus)
+        with pytest.raises(ValueError, match="distinct"):
+            RunConfig(provers=(wu_descriptor(),
+                               external_descriptor("wu", "false {input}")),
+                      corpus=corpus)
         for budget in (0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 RunConfig(provers=(wu_descriptor(),), corpus=corpus,

@@ -20,7 +20,7 @@ from gatpbench.groebner import buchberger, is_unit_basis
 from gatpbench.polynomials import Polynomial, TermOrder, var
 from gatpbench import provers
 from gatpbench.problems import parse_problem
-from gatpbench.provers import (GENERIC, STRICT, TRACE_LIMIT, Consistent,
+from gatpbench.provers import (TRACE_LIMIT, Consistent,
                                Counterexample, DegenerateExhaustedError,
                                InconsistentSystemError, SpawnFailureError,
                                Status, external_descriptor, external_prove,
@@ -169,18 +169,6 @@ class TestGroebnerProver:
         with pytest.raises(ValueError, match=name):
             groebner_prove(s)
 
-    def test_strict_mode_needs_no_degeneracy_escape(self):
-        s = load("GEO0009")
-        assert groebner_prove(s, timeout_seconds=30,
-                              mode=GENERIC).status is Status.PROVED
-        strict = groebner_prove(s, timeout_seconds=30, mode=STRICT)
-        assert strict.status is Status.UNPROVED
-
-    def test_strict_proof_reports_no_ndg(self):
-        out = groebner_prove(load("GEO0001"), timeout_seconds=30, mode=STRICT)
-        assert out.status is Status.PROVED
-        assert out.ndg_conditions == ()
-
 
 def foot_system(first, second):
     """The foot F of C on AB, with two conjectures in the given order."""
@@ -212,10 +200,6 @@ CHARACTERISED = {
         Status.PROVED, FOOT_NDG, "",
         ["conclusion 1: identically zero",
          "conclusion 2: radical membership confirmed", *FOOT_NDG_LINES]),
-    ("zero-first", "strict"): (
-        Status.PROVED, [], "",
-        ["conclusion 1: identically zero",
-         "conclusion 2: radical membership confirmed"]),
     ("zero-after", "wu"): (
         Status.PROVED, FOOT_NDG, "",
         [*CHAIN, "conclusion 1: remainder zero",
@@ -224,10 +208,6 @@ CHARACTERISED = {
         Status.PROVED, FOOT_NDG, "",
         ["conclusion 1: radical membership confirmed",
          "conclusion 2: identically zero", *FOOT_NDG_LINES]),
-    ("zero-after", "strict"): (
-        Status.PROVED, [], "",
-        ["conclusion 1: radical membership confirmed",
-         "conclusion 2: identically zero"]),
     ("NOT0001", "wu"): (
         Status.UNPROVED, [], "",
         ["ascending chain:",
@@ -235,16 +215,10 @@ CHARACTERISED = {
     ("NOT0001", "gbm"): (
         Status.UNPROVED, [], "",
         ["conclusion 1: not in the radical (basis of 1 elements, no unit)"]),
-    ("NOT0001", "strict"): (
-        Status.UNPROVED, [], "",
-        ["conclusion 1: not in the radical (basis of 1 elements, no unit)"]),
     ("contradictory", "wu"): (
         Status.ERROR, [], "hypotheses force -1 = 0", None),
     ("contradictory", "gbm"): (
         Status.ERROR, [], "hypotheses force -1 = 0", None),
-    ("contradictory", "strict"): (
-        Status.ERROR, [],
-        "hypotheses are inconsistent: their Groebner basis is {1}", None),
 }
 
 
@@ -262,7 +236,6 @@ def characterised_system(case):
 PROVERS = {
     "wu": wu_prove,
     "gbm": groebner_prove,
-    "strict": lambda s, **kw: groebner_prove(s, mode=STRICT, **kw),
 }
 
 
