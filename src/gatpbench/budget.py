@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import time
 
+DEFAULT_TIMEOUT_SECONDS = 60.0
+
 
 class DeadlineExceeded(Exception):
     """The wall-clock budget ran out."""

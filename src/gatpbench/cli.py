@@ -18,10 +18,8 @@ import threading
 from fractions import Fraction
 
 from .algebraize import AlgebraizeError, algebraize
-from .budget import budget_seconds
+from .budget import DEFAULT_TIMEOUT_SECONDS, budget_seconds
 from .corpus import CorpusError, load_corpus
-from .harness import (DEFAULT_TIMEOUT_SECONDS, CorruptRecordError, ResultsStore,
-                      RunConfig, run_suite)
 from .problems import ParseError, parse_problem
 from .provers import (Counterexample, DegenerateExhaustedError,
                       SpawnFailureError, Status, external_descriptor,
@@ -69,6 +67,7 @@ def resolve_timeout(flag_value: float | None) -> float:
 
 
 def _parse_external(specs) -> list:
+    import shlex
     out = []
     for spec in specs or []:
         ident, sep, template = spec.partition("=")
@@ -77,6 +76,10 @@ def _parse_external(specs) -> list:
         if ident in _BUILTINS or any(d.id == ident for d in out):
             raise UsageError(f"--external id {ident!r} is a built-in prover "
                              "or declared twice")
+        try:
+            shlex.split(template)
+        except ValueError as e:
+            raise UsageError(f"--external {ident!r}: bad template: {e}")
         out.append(external_descriptor(ident, template))
     return out
 
@@ -201,6 +204,7 @@ def _terminate(signum, frame):
 
 
 def _cmd_bench(args) -> int:
+    from .harness import ResultsStore, RunConfig, run_suite
     if args.repetitions < 1 or args.jobs < 1:
         raise UsageError("--repetitions and --jobs must be >= 1")
     provers = _parse_provers(args.provers, _parse_external(args.external))
@@ -224,6 +228,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    from .harness import ResultsStore
     store = ResultsStore(args.store)
     records = store.load()
     if store.torn_line is not None:
@@ -292,9 +297,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, CorpusError, CorruptRecordError, AlgebraizeError,
-            RankingError, SpawnFailureError, DegenerateExhaustedError,
-            OSError, ValueError) as e:
+    except (ParseError, CorpusError, AlgebraizeError, RankingError,
+            SpawnFailureError, DegenerateExhaustedError, OSError,
+            ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

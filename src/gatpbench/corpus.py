@@ -9,7 +9,6 @@ package.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,6 +108,7 @@ def load_corpus(manifest_path) -> CorpusManifest:
 def corpus_hash(manifest: CorpusManifest) -> str:
     """Content hash over ids, expected statuses, and canonical problem text;
     independent of file locations and incidental formatting."""
+    import hashlib
     from .problems import render_problem
     h = hashlib.sha256()
     for e in manifest.entries:

@@ -13,10 +13,7 @@ timestamps, reruns of the same configuration produce identical records.
 
 from __future__ import annotations
 
-import datetime
 import functools
-import platform
-import tempfile
 import threading
 import json
 import os
@@ -24,20 +21,18 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .algebraize import AlgebraizeError, algebraize
-from .budget import budget_seconds
+from .budget import DEFAULT_TIMEOUT_SECONDS, budget_seconds
 from .corpus import CorpusManifest
 from .problems import Problem, render_problem
 from .provers import (ProofOutcome, ProverDescriptor, ProverKind,
                       SpawnFailureError, Status, external_prove,
                       groebner_prove, kill_external_provers, wu_prove)
 
-DEFAULT_TIMEOUT_SECONDS = 60.0
-
 HEADER = ("# problem_id\tprover_id\trepetition\tstatus\tcpu_seconds"
           "\twall_seconds\tndg_count\tstarted_at\thost_fingerprint")
 
 
-class CorruptRecordError(Exception):
+class CorruptRecordError(ValueError):
     def __init__(self, line_number: int, reason: str):
         super().__init__(f"record line {line_number}: {reason}")
         self.line_number = line_number
@@ -88,6 +83,7 @@ def host_fingerprint() -> str:
     """OS and CPU model strings, enough to flag cross-host comparisons."""
     global _FINGERPRINT
     if _FINGERPRINT is None:
+        import platform
         cpu = ""
         try:
             with open("/proc/cpuinfo") as fh:
@@ -104,6 +100,7 @@ def host_fingerprint() -> str:
 
 
 def _now_iso() -> str:
+    import datetime
     return datetime.datetime.now(datetime.timezone.utc).isoformat(
         timespec="microseconds")
 
@@ -233,6 +230,7 @@ def run_single(problem: Problem, descriptor: ProverDescriptor,
     started = _now_iso()
     try:
         if descriptor.kind is ProverKind.EXTERNAL:
+            import tempfile
             with tempfile.NamedTemporaryFile(
                     "w", suffix=".geo", delete=False) as fh:
                 fh.write(render_problem(problem))

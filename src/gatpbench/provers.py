@@ -26,11 +26,6 @@ import functools
 import math
 import os
 import random
-import resource
-import selectors
-import shlex
-import signal
-import subprocess
 import threading
 import time
 from dataclasses import dataclass
@@ -488,6 +483,7 @@ _LIVE_LOCK = threading.Lock()
 
 
 def _kill_group(proc: subprocess.Popen) -> None:
+    import signal
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:
@@ -507,6 +503,8 @@ def _capture(proc: subprocess.Popen, timeout_seconds: float | None) -> bytes:
 
     Raises subprocess.TimeoutExpired when that takes over timeout_seconds.
     """
+    import selectors
+    import subprocess
     end = None if timeout_seconds is None else (
         time.monotonic() + timeout_seconds)
 
@@ -550,6 +548,9 @@ def external_prove(descriptor: ProverDescriptor, problem_file: str,
     """
     if descriptor.kind is not ProverKind.EXTERNAL:
         raise ValueError("descriptor does not describe an external prover")
+    import resource
+    import shlex
+    import subprocess
     argv = [tok.replace("{input}", str(problem_file))
             for tok in shlex.split(descriptor.command_template)]
     ru0 = resource.getrusage(resource.RUSAGE_CHILDREN)

@@ -15,7 +15,6 @@ from: rendering the same inputs twice gives byte-identical text.
 from __future__ import annotations
 
 import enum
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,6 +125,7 @@ def summarize_problem(problem_id: str, records, time_source: str = "wall"
         raise ValueError("time_source must be 'wall' or 'cpu'")
     pick = (lambda r: r.wall_seconds) if time_source == "wall" \
         else (lambda r: r.cpu_seconds)
+    import statistics
     status = _modal_status(r.status for r in records)
     seconds = statistics.median(pick(r) for r in records
                                 if r.status is status)
@@ -180,6 +180,7 @@ def build_quality_profile(records, descriptor: ProverDescriptor,
     else:
         agreement = Fraction(1)
 
+    import statistics
     median_proved = (statistics.median(s.median_seconds for s in proved)
                      if proved else None)
     scope = (Fraction(len(proved), len(eligible))

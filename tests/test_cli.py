@@ -183,6 +183,19 @@ class TestBenchAndRank:
         assert captured.out == whole
         assert f"torn last line {len(lines) + 1}" in captured.err
 
+    def test_rank_corrupt_middle_line_exits_three(self, mini_corpus,
+                                                  tmp_path, capsys):
+        store = tmp_path / "runs.tsv"
+        main(["bench", "--corpus", str(mini_corpus), "--provers", "wu",
+              "--timeout", "20", "--out", str(store)])
+        lines = store.read_text().splitlines(keepends=True)
+        assert len(lines) == 3
+        store.write_text("".join(lines[:2] + ["not a record\n"] + lines[2:]))
+        capsys.readouterr()
+        assert main(["rank", "--store", str(store)]) == 3
+        assert capsys.readouterr().err == (
+            "error: record line 3: expected 9 fields, got 1\n")
+
     def test_external_prover_flows_through(self, mini_corpus, tmp_path,
                                            capsys):
         stub = tmp_path / "stub.sh"
@@ -226,10 +239,13 @@ class TestBenchAndRank:
         ["--provers", "wu", "--external", "wu=false {input}"],
         ["--provers", "ext", "--external", "ext=true {input}",
          "--external", "ext=false {input}"],
-    ], ids=["builtin-twice", "external-shadows-builtin", "external-twice"])
+        ["--provers", "wu,x", "--external", 'x=python3 "oops {input}'],
+    ], ids=["builtin-twice", "external-shadows-builtin", "external-twice",
+            "unsplittable-template"])
     def test_colliding_prover_ids_usage_error(self, mini_corpus, tmp_path,
                                               flags):
-        # two provers under one id would merge their records in the store
+        # two provers under one id would merge their records in the store;
+        # each bad prover list is rejected before any cell runs
         store = tmp_path / "r.tsv"
         assert main(["bench", "--corpus", str(mini_corpus), *flags,
                      "--timeout", "10", "--out", str(store)]) == 2

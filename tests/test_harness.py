@@ -1,6 +1,7 @@
 """Benchmark harness: records, stores, timed runs."""
 
 import dataclasses
+import json
 import os
 import pickle
 import random
@@ -158,15 +159,90 @@ class TestRunRecordValue:
                                             wall_seconds=0.0, started_at="")
 
 
-def test_import_leaves_thread_pool_unloaded():
+def fresh_child(code, *flags):
+    """stdout of code run in a new interpreter that imports from src/."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, gatpbench; print('concurrent.futures' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, *flags, "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_import_leaves_thread_pool_unloaded():
+    assert fresh_child("import sys, gatpbench; "
+                       "print('concurrent.futures' in sys.modules)") == "False"
+
+
+def test_import_loads_only_the_modules_it_uses():
+    # -S: no site hook (a .pth file) preloads standard modules
+    assert fresh_child(
+        "import sys, gatpbench; "
+        "print(*sorted(m for m in sys.modules if 'gatpbench' in m))",
+        "-S").split() == ["gatpbench", "gatpbench.algebraize",
+                          "gatpbench.budget", "gatpbench.polynomials",
+                          "gatpbench.problems"]
+    assert fresh_child(
+        "import sys, gatpbench.cli; "
+        "print(*(m for m in ('gatpbench.harness', 'platform', 'subprocess', "
+        "'hashlib', 'statistics', 'datetime') if m in sys.modules))",
+        "-S") == ""
+
+
+PUBLIC_NAMES = [
+    "AlgebraizeError", "BadArityError", "Consistent", "CorpusEntry",
+    "CorpusError", "CorpusManifest", "CorpusParseError", "CorruptRecordError",
+    "Counterexample", "DEFAULT_TIMEOUT_SECONDS", "Deadline",
+    "DeadlineExceeded", "DegenerateConstructionError",
+    "DegenerateExhaustedError", "DuplicateIdError", "DuplicatePointError",
+    "EfficiencyClass", "InconsistentSystemError", "MissingFileError",
+    "MissingRecordsError", "Monomial", "NegativeWeightError",
+    "NotUnivariateError", "ParseError", "Polynomial", "PolynomialSystem",
+    "Problem", "ProblemSyntaxError", "ProofOutcome", "ProverDescriptor",
+    "ProverKind", "QualityProfile", "RankingError", "RankingReport",
+    "Rational", "ReliabilityClass", "ResultsStore", "RunConfig", "RunRecord",
+    "SpawnFailureError", "Status", "TermOrder", "TriangulateError",
+    "UndefinedPointError", "ValidationWarning", "Variable", "ZeroSizeError",
+    "algebraize", "as_polynomial", "buchberger", "budget",
+    "build_quality_profile", "bundled_manifest_path", "classify_time",
+    "corpus", "corpus_hash", "de_bruijn_factor", "de_bruijn_factor_text",
+    "divide", "external_descriptor", "external_prove", "format_record",
+    "groebner", "groebner_descriptor", "groebner_prove", "harness",
+    "host_fingerprint", "is_unit_basis", "load_corpus", "normal_form",
+    "numeric_check", "parse_problem", "parse_record", "polynomials",
+    "problems", "provers", "pseudo_divide", "rank_report", "ranking",
+    "render_problem", "report_from_records", "run_single", "run_suite",
+    "s_polynomial", "solve_construction", "translate_predicate",
+    "validate_problem", "var", "wu_descriptor", "wu_prove", "wu_triangulate",
+]
+
+
+def test_lazy_namespace_keeps_every_public_name():
+    code = textwrap.dedent("""
+        import json, gatpbench
+        import gatpbench.algebraize, gatpbench.provers
+        out = {"algebraize": type(gatpbench.algebraize).__name__}
+        from gatpbench import harness
+        out["harness"] = type(harness).__name__
+        try:
+            gatpbench.no_such_name
+        except AttributeError:
+            out["unknown"] = "AttributeError"
+        from gatpbench import budget
+        out["timeouts"] = [gatpbench.DEFAULT_TIMEOUT_SECONDS,
+                           harness.DEFAULT_TIMEOUT_SECONDS,
+                           budget.DEFAULT_TIMEOUT_SECONDS]
+        ns = {}
+        exec("from gatpbench import *", ns)
+        out["missing"] = sorted(set(gatpbench.__all__) - set(ns))
+        out["all"] = sorted(gatpbench.__all__)
+        print(json.dumps(out))
+    """)
+    out = json.loads(fresh_child(code))
+    assert out.pop("all") == PUBLIC_NAMES
+    assert out == {"algebraize": "function", "harness": "module",
+                   "unknown": "AttributeError", "timeouts": [60.0] * 3,
+                   "missing": []}
 
 
 class TestStore:
