@@ -11,6 +11,7 @@ and an explicit --timeout flag wins over both.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import signal
 import sys
@@ -123,7 +124,11 @@ def _parse_weights(text: str) -> dict:
     return weights
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no state
+    between calls (each returns a fresh Namespace, and append options start
+    from their None default each time)."""
     parser = argparse.ArgumentParser(
         prog="gatpbench",
         description="Benchmark and rank geometric theorem provers.")

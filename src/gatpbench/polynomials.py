@@ -16,9 +16,10 @@ and two polynomials are equal exactly when their term maps are.
 Also here: term orders (lexicographic and degree-reverse-lexicographic),
 exact evaluation, and pseudo-division with respect to a chosen variable.
 Evaluation runs in int arithmetic: scaled_point brings a rational point
-over one common denominator d, and Polynomial.scaled_value computes
-d**k * p(x) for p of total degree k, an int for int coefficients; evaluate
-divides that by d**k once.
+over one common denominator d, power_table lists d**0 .. d**K once per
+point, and Polynomial.scaled_value computes d**K * p(x) from that table for
+any p of total degree at most K, an int for int coefficients; evaluate
+divides that by d**K once.
 """
 
 from __future__ import annotations
@@ -297,6 +298,15 @@ def scaled_point(env: dict, names) -> tuple:
                for name, v in values.items()}
 
 
+def power_table(d: int, k: int) -> list:
+    """[1, d, d**2, ..., d**k], the powers Polynomial.scaled_value reads;
+    k < 1 gives [1]."""
+    dpow = [1]
+    for _ in range(k):
+        dpow.append(dpow[-1] * d)
+    return dpow
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -486,19 +496,17 @@ class Polynomial:
 
     # -- evaluation ----------------------------------------------------------
 
-    def scaled_value(self, d: int, numerators: dict):
-        """d**k * self(x) for the point x = numerators / d, k the total degree.
+    def scaled_value(self, dpow: list, numerators: dict):
+        """d**K * self(x) for the point x = numerators / d, given the power
+        table dpow = [1, d, ..., d**K] with K = len(dpow) - 1 >= the total
+        degree.
 
-        Each term c*m adds c * m(numerators) * d**(k - deg m), so int
+        Each term c*m adds c * m(numerators) * d**(K - deg m), so int
         coefficients give an exact int and Fraction ones an exact Fraction;
         it is zero exactly when self(x) is.  The zero polynomial gives 0.
+        One table serves every polynomial evaluated at the same point.
         """
-        if not self.terms:
-            return 0
-        k = max(m.degree for m in self.terms)
-        dpow = [1]
-        for _ in range(k):
-            dpow.append(dpow[-1] * d)
+        k = len(dpow) - 1
         total = 0
         try:
             for m, c in self.terms.items():
@@ -514,8 +522,8 @@ class Polynomial:
         """Exact value at a rational point; raises on unbound variables."""
         d, numerators = scaled_point(
             env, (name for m in self.terms for name, _ in m.exps))
-        return Fraction(self.scaled_value(d, numerators),
-                        d ** max(self.total_degree, 0))
+        dpow = power_table(d, self.total_degree)
+        return Fraction(self.scaled_value(dpow, numerators), dpow[-1])
 
     # -- identity ------------------------------------------------------------
 

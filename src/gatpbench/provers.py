@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .algebraize import PolynomialSystem
 from .budget import Deadline, DeadlineExceeded
-from .polynomials import Polynomial, TermOrder, pseudo_divide
+from .polynomials import Polynomial, TermOrder, power_table, pseudo_divide
 from . import problems as pr
 from .groebner import buchberger, is_unit_basis
 
@@ -413,13 +413,17 @@ def numeric_check(system: PolynomialSystem, samples: int, seed: int,
 
     Models are drawn and solved in integer homogeneous coordinates
     (solve_construction).  The common denominator d of a model is the lcm of
-    the W of each point that holds variables, and every polynomial p is
-    tested through the exact value d**deg(p) * p(x)
+    the W of each point that holds variables.  K, the largest total degree
+    among avoid, the hypotheses and the conclusions, is worked out once per
+    call; each model gets one power table [1, d, ..., d**K], and every
+    polynomial p is tested through the exact value d**K * p(x)
     (Polynomial.scaled_value), which is an int for int coefficients; only a
     reported counterexample becomes Fractions.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    top_degree = max((p.total_degree for p in (
+        *avoid, *system.hypotheses, *system.conclusions)), default=0)
     # (point, x variable or None, y variable or None) of each point that
     # holds a variable
     layout = [(point, getattr(cx, "name", None), getattr(cy, "name", None))
@@ -437,6 +441,7 @@ def numeric_check(system: PolynomialSystem, samples: int, seed: int,
             if candidate is None:
                 continue
             d = math.lcm(*(candidate[p][2] for p, _, _ in layout))
+            dpow = power_table(d, top_degree)
             point = {}
             for p, nx, ny in layout:
                 x, y, w = candidate[p]
@@ -445,7 +450,7 @@ def numeric_check(system: PolynomialSystem, samples: int, seed: int,
                     point[nx] = x * k
                 if ny is not None:
                     point[ny] = y * k
-            if any(a.scaled_value(d, point) == 0 for a in avoid):
+            if any(a.scaled_value(dpow, point) == 0 for a in avoid):
                 continue
             model = candidate
             break
@@ -453,19 +458,19 @@ def numeric_check(system: PolynomialSystem, samples: int, seed: int,
             raise DegenerateExhaustedError(
                 f"no admissible model after {attempts} draws")
         for h in system.hypotheses:
-            if h.scaled_value(d, point) != 0:
+            if h.scaled_value(dpow, point) != 0:
                 raise AssertionError(
                     "sampled model violates a hypothesis; constructor and "
                     "algebraization disagree")
         for idx, g in enumerate(system.conclusions):
-            value = g.scaled_value(d, point)
+            value = g.scaled_value(dpow, point)
             if value != 0:
                 return Counterexample(
                     model={p: pr.rational_point(xyw)
                            for p, xyw in model.items()},
                     env={name: Fraction(v, d) for name, v in point.items()},
                     conclusion_index=idx,
-                    value=Fraction(value, d ** g.total_degree))
+                    value=Fraction(value, dpow[-1]))
     return Consistent(samples=effective)
 
 

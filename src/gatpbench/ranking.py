@@ -84,11 +84,14 @@ def de_bruijn_factor_text(informal, formal) -> Fraction:
 
 
 def _modal_status(statuses) -> Status:
-    # most frequent status; ties resolved by status name for determinism
+    # most frequent status; ties resolved by status name for determinism.
+    # Counted by the plain _value_ attribute: both hashing a member and its
+    # .value property run Python-level code for every record
     counts = {}
     for s in statuses:
-        counts[s] = counts.get(s, 0) + 1
-    return min(counts, key=lambda s: (-counts[s], s.value))
+        v = s._value_
+        counts[v] = counts.get(v, 0) + 1
+    return Status(min(counts, key=lambda v: (-counts[v], v)))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gatpbench
-from gatpbench.cli import main, resolve_timeout, UsageError
+from gatpbench.cli import build_parser, main, resolve_timeout, UsageError
 from gatpbench.corpus import bundled_manifest_path
 
 from test_provers import kill_survivors
@@ -263,6 +263,31 @@ class TestBenchAndRank:
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
         assert main(["rank", "--store", str(empty)]) == 2
+
+
+def test_one_parser_serves_every_call(mini_corpus, tmp_path, capsys):
+    """main builds its parser once per process; a reused parser gives each
+    call the exit code and output of a freshly built one."""
+    store = tmp_path / "runs.tsv"
+    main(["bench", "--corpus", str(mini_corpus), "--provers", "wu",
+          "--timeout", "20", "--out", str(store)])
+    externals = ["--external", "a=true {input}",
+                 "--external", "b=true {input}"]
+    rank = ["rank", "--store", str(store), *externals]
+    calls = [["bench", "--corpus", str(mini_corpus)], ["--help"], rank, rank,
+             ["check", geo("GEO0002"), "--samples", "5", "--seed", "1"]]
+    capsys.readouterr()
+    reused = []
+    for argv in calls:
+        reused.append((main(argv), *capsys.readouterr()))
+    assert build_parser() is build_parser()
+    assert [r[0] for r in reused] == [2, 0, 0, 0, 0]
+    # append options start empty on every parse, so --external ids given
+    # once per call are never "declared twice"
+    assert build_parser().parse_args(rank).external == externals[1::2]
+    for argv, got in zip(calls, reused):
+        build_parser.cache_clear()
+        assert (main(argv), *capsys.readouterr()) == got
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs procfs")

@@ -9,7 +9,7 @@ from gatpbench.groebner import (buchberger, divide, interreduce, normal_form,
                                 s_polynomial)
 from gatpbench.polynomials import (MissingVariableError, Monomial,
                                    NotUnivariateError, Polynomial, TermOrder,
-                                   as_polynomial, pseudo_divide,
+                                   as_polynomial, power_table, pseudo_divide,
                                    scaled_point, var)
 
 x, y, z, u, v = (var(n) for n in "xyzuv")
@@ -116,10 +116,33 @@ class TestEvaluation:
             env = mixed_env(rng)
             d, numerators = scaled_point(env, env)
             assert all(env[n] * d == numerators[n] for n in env)
-            value = p.scaled_value(d, numerators)
+            value = p.scaled_value(power_table(d, p.total_degree),
+                                   numerators)
             assert type(value) is int
             assert Fraction(value, d ** max(p.total_degree, 0)) \
                 == per_term_value(p, env)
+
+    def test_scaled_value_reads_a_longer_power_table(self):
+        # a table up to d**K with K >= deg p gives d**K * p(x), so one table
+        # serves every polynomial of a system at the same point
+        rng = random.Random(10)
+        for _ in range(200):
+            dense = random_dense_poly(rng)
+            ints = Polynomial({m: c for m, c in dense.terms.items()
+                               if type(c) is int})
+            env = mixed_env(rng)
+            d, numerators = scaled_point(env, env)
+            for extra in (0, 1, 3):
+                top = max(dense.total_degree, 0) + extra
+                dpow = power_table(d, top)
+                assert dpow == [d ** i for i in range(top + 1)]
+                for p in (dense, ints):
+                    value = p.scaled_value(dpow, numerators)
+                    assert value == d ** top * per_term_value(p, env)
+                assert type(ints.scaled_value(dpow, numerators)) is int
+        assert power_table(7, -1) == [1]
+        with pytest.raises(MissingVariableError):
+            (x * y + 1).scaled_value(power_table(2, 5), {"x": 3})
 
     def test_float_in_env_raises_type_error(self):
         with pytest.raises(TypeError):
@@ -131,7 +154,7 @@ class TestEvaluation:
         with pytest.raises(MissingVariableError):
             (x * y + 1).evaluate({"x": Fraction(1, 2)})
         with pytest.raises(MissingVariableError):
-            (x + 1).scaled_value(1, {"y": 3})
+            (x + 1).scaled_value([1, 1], {"y": 3})
 
 
 class TestStructure:
