@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import heapq
 
+from . import polynomials
 from .budget import Deadline
-from .polynomials import (Polynomial, TermOrder, _add_scaled, _polynomial,
-                          _quotient, as_polynomial)
+from .polynomials import (Monomial, Polynomial, TermOrder, _add_scaled, _new,
+                          _polynomial, _quotient, as_polynomial)
 
 
 def normal_form(f: Polynomial, basis, order: TermOrder,
@@ -49,6 +50,9 @@ def _reduce(f: Polynomial, basis: list, order: TermOrder,
             lc = tail.pop(lm)
             leads.append((lm, lc, tail, i))
     key = order.key
+    # every field of these monomials is registered by now, so one read of
+    # the guard bits serves the whole division (see Monomial.divides)
+    g = polynomials._GUARDS
     p = dict(f.terms)
     remainder = {}
     while p:
@@ -56,12 +60,13 @@ def _reduce(f: Polynomial, basis: list, order: TermOrder,
         lc = p.pop(lm)
         if deadline is not None:
             deadline.check()
+        lm_g = lm | g
         for glm, glc, tail, i in leads:
-            if glm.divides(lm):
-                t = lm.divide(glm)
+            if (lm_g - glm) & g == g:
+                t = lm - glm
                 c = _quotient(lc, glc)
                 if quotients is not None:
-                    quotients[i][t] = c
+                    quotients[i][_new(Monomial, t)] = c
                 # lm cancels exactly; only the tail of c*t*g is left to add
                 _add_scaled(p, tail, -c, t)
                 break

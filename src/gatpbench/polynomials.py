@@ -11,7 +11,13 @@ scaling and Groebner reduction make fractions.
 
 A Polynomial is a map from power products (Monomial) to nonzero
 coefficients; all operations return new objects with zero terms pruned,
-and two polynomials are equal exactly when their term maps are.
+and two polynomials are equal exactly when their term maps are.  A
+Monomial is an int holding the total degree and one exponent per variable
+in fixed-width bit fields.  Each field belongs to one variable name for the
+life of the process (a registry hands fields out on first use), so a
+product or quotient is one int addition or subtraction, and term maps hash
+and compare monomials in C.  Field positions are never read as an order:
+exponent pairs, printed text and term-order keys are decoded by name.
 
 Also here: term orders (lexicographic and degree-reverse-lexicographic),
 exact evaluation, and pseudo-division with respect to a chosen variable.
@@ -24,7 +30,11 @@ divides that by d**K once.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import sys
+import threading
 from fractions import Fraction
 
 from .budget import Deadline
@@ -43,150 +53,158 @@ class NotUnivariateError(ValueError):
 # ---------------------------------------------------------------------------
 # monomials
 
-class Monomial:
-    """A power product, e.g. x^2*y.  Stored as a name-sorted exponent tuple.
+# A monomial is one int of 16-bit fields.  Field 0 holds the total degree;
+# field i >= 1 holds the exponent of _NAMES[i].  The top bit of each field is
+# a guard bit, clear in every monomial, so a sum of two monomials never
+# carries from one field into the next: exponent overflow shows up as a set
+# guard bit instead.  No exponent exceeds the total degree, so the guard bit
+# of field 0 alone tells whether any field of a product overflowed.
+_WIDTH = 16                             # one "H" (uint16) item per field
+_FIELD = (1 << _WIDTH) - 1
+_LIMIT = (1 << (_WIDTH - 1)) - 1        # largest exponent and total degree
+_DEGREE_GUARD = 1 << (_WIDTH - 1)
 
-    Products, quotients and lcms merge two sorted tuples in one pass.
+# The registry of variable names, shared by the whole process: a name's
+# field is fixed when it is first used and never moves or goes away, so
+# monomials built anywhere in the process can be compared and combined.
+# Field numbers follow registration, which nothing reads as an order:
+# exps, repr and TermOrder keys decode the fields by name.
+_FIELDS: dict = {}                      # name -> field number
+_NAMES: list = [None]                   # field number -> name
+_GUARDS = _DEGREE_GUARD                 # the guard bits of every field so far
+_REGISTER = threading.Lock()
+
+_new = int.__new__
+
+
+def _shift(name: str) -> int:
+    """Bit offset of name's field, registering the name on first use."""
+    f = _FIELDS.get(name)
+    if f is None:
+        global _GUARDS
+        with _REGISTER:
+            f = _FIELDS.get(name)
+            if f is None:
+                f = len(_NAMES)
+                _NAMES.append(name)
+                _GUARDS |= _DEGREE_GUARD << (f * _WIDTH)
+                _FIELDS[name] = f   # last, so a reader of f finds the rest
+    return f * _WIDTH
+
+
+def _fields(m: int) -> memoryview:
+    """Field values of a packed monomial, field 0 (the degree) first."""
+    return memoryview(m.to_bytes(-(-m.bit_length() // _WIDTH) * 2,
+                                 sys.byteorder)).cast("H")
+
+
+def _pairs(m: int) -> list:
+    """(name, exponent) for m's nonzero exponent fields, sorted by name."""
+    names = _NAMES
+    return sorted([(names[i], e) for i, e in enumerate(_fields(m)) if e and i])
+
+
+def _overflow():
+    raise OverflowError(f"monomial degree above {_LIMIT}")
+
+
+def _power_product(exps) -> str:
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in exps)
+
+
+class Monomial(int):
+    """A power product, e.g. x^2*y, packed into one int of 16-bit fields.
+
+    Field 0 holds the total degree and every other field the exponent of
+    one registered variable name, so a product is one int addition, a
+    quotient one subtraction, divisibility a test of the guard bits, and
+    hashing and equality are int's own.  Exponents and the total degree are
+    at most 32767: going above raises OverflowError, never wraps.
     """
 
-    __slots__ = ("exps", "degree", "_hash")
+    __slots__ = ()
 
-    def __init__(self, exps=()):
+    def __new__(cls, exps=()):
         if isinstance(exps, dict):
             exps = exps.items()
-        pairs = tuple(sorted((v, e) for v, e in exps if e != 0))
-        for v, e in pairs:
+        packed = degree = 0
+        for v, e in exps:
             if e < 0:
                 raise ValueError(f"negative exponent for {v}")
-        self.exps = pairs
-        self.degree = sum(e for _, e in pairs)
-        self._hash = hash(pairs)
+            if e:
+                if e > _LIMIT:
+                    _overflow()
+                packed += e << _shift(v)
+                degree += e
+        if degree > _LIMIT:
+            _overflow()
+        return _new(cls, packed + degree)
+
+    @property
+    def degree(self) -> int:
+        return self & _LIMIT
+
+    @property
+    def exps(self) -> tuple:
+        """(name, exponent) pairs, sorted by name."""
+        return tuple(_pairs(self))
 
     def degree_in(self, var: str) -> int:
-        for v, e in self.exps:
-            if v == var:
-                return e
-        return 0
+        return (self >> _shift(var)) & _FIELD
 
     def variables(self):
-        return tuple(v for v, _ in self.exps)
-
-    def is_one(self) -> bool:
-        return not self.exps
+        return tuple(v for v, _ in _pairs(self))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        a, b = self.exps, other.exps
-        if not b:
-            return self
-        if not a:
-            return other
-        out = []
-        i = j = 0
-        na, nb = len(a), len(b)
-        va, vb = a[0][0], b[0][0]
-        while True:
-            if va == vb:
-                out.append((va, a[i][1] + b[j][1]))
-                i += 1
-                j += 1
-                if i == na or j == nb:
-                    break
-                va, vb = a[i][0], b[j][0]
-            elif va < vb:
-                out.append(a[i])
-                i += 1
-                if i == na:
-                    break
-                va = a[i][0]
-            else:
-                out.append(b[j])
-                j += 1
-                if j == nb:
-                    break
-                vb = b[j][0]
-        out += a[i:]
-        out += b[j:]
-        return _monomial(tuple(out), self.degree + other.degree)
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        m = self + other
+        if m & _DEGREE_GUARD:
+            _overflow()
+        return _new(Monomial, m)
 
     def divides(self, other: "Monomial") -> bool:
-        if self.degree > other.degree:
-            return False
-        b = other.exps
-        j, nb = 0, len(b)
-        for v, e in self.exps:
-            while j < nb and b[j][0] < v:
-                j += 1
-            if j == nb or b[j][0] != v or b[j][1] < e:
-                return False
-            j += 1
-        return True
+        # a field of (other | guards) - self keeps its guard bit exactly
+        # when other's exponent there is at least self's, and never borrows
+        g = _GUARDS
+        return ((other | g) - self) & g == g
 
     def divide(self, other: "Monomial") -> "Monomial":
         """self / other; other must divide self."""
-        a = self.exps
-        out = []
-        i, na = 0, len(a)
-        for v, e in other.exps:
-            while i < na and a[i][0] < v:
-                out.append(a[i])
-                i += 1
-            if i == na or a[i][0] != v or a[i][1] < e:
-                raise ValueError("inexact monomial division")
-            if a[i][1] != e:
-                out.append((v, a[i][1] - e))
-            i += 1
-        out += a[i:]
-        return _monomial(tuple(out), self.degree - other.degree)
+        if not other.divides(self):
+            raise ValueError("inexact monomial division")
+        return _new(Monomial, self - other)
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        a, b = self.exps, other.exps
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            if a[i][0] == b[j][0]:
-                out.append(max(a[i], b[j]))     # same name: bigger exponent
-                i += 1
-                j += 1
-            elif a[i][0] < b[j][0]:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        out += a[i:]
-        out += b[j:]
-        return _monomial(tuple(out), sum(e for _, e in out))
+        g = _GUARDS
+        ge = ((self | g) - other) & g       # guards of fields where self wins
+        mine = ge - (ge >> (_WIDTH - 1))    # those fields' exponent bits
+        top = ((self & mine) | (other & ~mine)) & ~_FIELD
+        degree = sum(_fields(top))
+        if degree > _LIMIT:
+            _overflow()
+        return _new(Monomial, top + degree)
 
     def coprime(self, other: "Monomial") -> bool:
-        mine = set(self.variables())
-        return not any(v in mine for v in other.variables())
+        # adding 0x7fff to a field sets its guard bit exactly when the
+        # field is nonzero
+        g = _GUARDS
+        low = g - (g >> (_WIDTH - 1))
+        return not ((self + low) & (other + low) & g) >> _WIDTH
 
     def drop(self, var: str) -> "Monomial":
-        e = self.degree_in(var)
+        s = _shift(var)
+        e = (self >> s) & _FIELD
         if not e:
             return self
-        return _monomial(tuple(t for t in self.exps if t[0] != var),
-                         self.degree - e)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return self._hash
+        return _new(Monomial, self - (e << s) - e)
 
     def __repr__(self):
-        if not self.exps:
-            return "1"
-        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self.exps)
+        return _power_product(self.exps) if self else "1"
 
-
-def _monomial(pairs: tuple, degree: int) -> Monomial:
-    """A Monomial from pairs already sorted by name, exponents all positive."""
-    m = Monomial.__new__(Monomial)
-    m.exps = pairs
-    m.degree = degree
-    m._hash = hash(pairs)
-    return m
+    def __reduce__(self):
+        # field positions are this process's own, so pickle the names
+        return Monomial, (self.exps,)
 
 
 _ONE = Monomial()
@@ -202,26 +220,29 @@ class _OrderKeys(dict):
     the keys at once.
     """
 
-    __slots__ = ("index", "lex")
+    __slots__ = ("fields", "lex", "cover", "size")
 
-    def __init__(self, index: dict, lex: bool):
+    def __init__(self, vars, lex: bool):
         super().__init__()
-        self.index = index
+        fields = [_shift(v) // _WIDTH for v in vars]
         self.lex = lex
+        # degrevlex reads the exponent vector reversed
+        self.fields = fields if lex else fields[::-1]
+        # every field a monomial under this order may use, and its bytes
+        self.cover = sum(_FIELD << (f * _WIDTH) for f in fields) | _FIELD
+        self.size = (max(fields, default=0) + 1) * 2
 
     def __missing__(self, m: Monomial):
-        evec = [0] * len(self.index)
-        for v, e in m.exps:
-            i = self.index.get(v)
-            if i is None:
-                raise KeyError(f"variable {v} not covered by this order")
-            evec[i] = e
+        if m & ~self.cover:
+            raise KeyError(f"variable {_pairs(m & ~self.cover)[0][0]} not "
+                           "covered by this order")
+        values = memoryview(m.to_bytes(self.size, sys.byteorder)).cast("H")
         if self.lex:
-            k = tuple(evec)
+            k = tuple([values[f] for f in self.fields])
         else:
             # degrevlex: grade by total degree, break ties by the reversed
             # exponent vector with flipped sign (rightmost difference decides)
-            k = (m.degree, tuple(-e for e in reversed(evec)))
+            k = (m & _LIMIT, tuple([-values[f] for f in self.fields]))
         self[m] = k
         return k
 
@@ -247,9 +268,8 @@ class TermOrder:
         self.vars = tuple(vars)
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("duplicate variable in precedence list")
-        index = {v: i for i, v in enumerate(self.vars)}
         # the cache's own lookup, so sorts and max() over keys stay in C
-        self.key = _OrderKeys(index, kind == self.LEX).__getitem__
+        self.key = _OrderKeys(self.vars, kind == self.LEX).__getitem__
 
     def __repr__(self):
         return f"TermOrder({self.kind}, {list(self.vars)})"
@@ -263,7 +283,7 @@ def _coerce(value):
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, Monomial):
         return int(value)       # bool and other int subclasses
     raise TypeError(f"not a rational scalar: {value!r}")
 
@@ -317,17 +337,35 @@ def _polynomial(terms: dict) -> "Polynomial":
     return p
 
 
-def _add_scaled(acc: dict, terms: dict, c, mono: Monomial) -> None:
-    """acc += c * mono * terms, in place, pruning cancelled terms."""
+# The loops below add packed monomials as plain ints and look the sums up
+# as they are: a dict keeps the key it already holds when a value is
+# replaced, so a Monomial is made only for a term that is new.
+
+def _add_scaled(acc: dict, terms: dict, c, mono: int) -> None:
+    """acc += c * mono * terms, in place, pruning cancelled terms; mono is a
+    packed monomial, a Monomial or its int value."""
     get = acc.get
-    items = ([(m * mono, k) for m, k in terms.items()] if mono.exps
-             else terms.items())
-    for m, k in items:
-        v = get(m, 0) + c * k
-        if v:
-            acc[m] = v
+    if not mono:
+        for m, k in terms.items():
+            v = get(m, 0) + c * k
+            if v:
+                acc[m] = v
+            else:
+                del acc[m]
+        return
+    for m, k in terms.items():
+        m += mono
+        if m & _DEGREE_GUARD:
+            _overflow()
+        v = get(m)
+        if v is None:
+            acc[_new(Monomial, m)] = c * k
         else:
-            del acc[m]
+            v += c * k
+            if v:
+                acc[m] = v
+            else:
+                del acc[m]
 
 
 def _product(a: dict, b: dict) -> dict:
@@ -337,19 +375,25 @@ def _product(a: dict, b: dict) -> dict:
     get = out.get
     for m2, c2 in b.items():
         for m1, c1 in a.items():
-            m = m1 * m2
-            v = get(m, 0) + c1 * c2
-            if v:
-                out[m] = v
+            m = m1 + m2
+            if m & _DEGREE_GUARD:
+                _overflow()
+            v = get(m)
+            if v is None:
+                out[_new(Monomial, m)] = c1 * c2
             else:
-                del out[m]
+                v += c1 * c2
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
     return out
 
 
 class Polynomial:
     """Sparse polynomial: Monomial -> nonzero int or Fraction."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_decoded")
 
     def __init__(self, terms=None):
         out = {}
@@ -386,7 +430,7 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m.is_one() for m in self.terms)
+        return not any(self.terms)
 
     def constant_value(self):
         if self.is_zero():
@@ -396,26 +440,30 @@ class Polynomial:
         return self.terms[_ONE]
 
     def variables(self) -> tuple:
-        names = set()
-        for m in self.terms:
-            names.update(m.variables())
-        return tuple(sorted(names))
+        # a field of the bitwise or of all terms is nonzero when some
+        # term's is
+        used = functools.reduce(operator.or_, self.terms, 0)
+        return tuple(v for v, _ in _pairs(used))
 
     @property
     def total_degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
         if not self.terms:
             return -1
-        return max(m.degree for m in self.terms)
+        return max(m & _LIMIT for m in self.terms)
 
     def degree_in(self, var: str) -> int:
         """Degree in one variable; 0 when absent (also for the zero poly)."""
-        return max((m.degree_in(var) for m in self.terms), default=0)
+        s = _shift(var)
+        return max(((m >> s) & _FIELD for m in self.terms), default=0)
 
     def coeff_in(self, var: str, power: int) -> "Polynomial":
         """The coefficient of var**power, a polynomial in the other variables."""
-        return _polynomial({m.drop(var): c for m, c in self.terms.items()
-                            if m.degree_in(var) == power})
+        s = _shift(var)
+        power_of_var = (power << s) + power
+        return _polynomial({_new(Monomial, m - power_of_var): c
+                            for m, c in self.terms.items()
+                            if (m >> s) & _FIELD == power})
 
     def leading_coeff_in(self, var: str) -> "Polynomial":
         return self.coeff_in(var, self.degree_in(var))
@@ -435,14 +483,6 @@ class Polynomial:
         if lc == 1:
             return self
         return _polynomial({m: _quotient(c, lc) for m, c in self.terms.items()})
-
-    def sorted_terms(self, order: TermOrder | None = None):
-        """Terms in descending canonical order (graded by default)."""
-        if order is not None:
-            keyf = lambda mc: order.key(mc[0])
-        else:
-            keyf = lambda mc: (mc[0].degree, tuple((v, -e) for v, e in mc[0].exps))
-        return sorted(self.terms.items(), key=keyf, reverse=True)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -492,7 +532,9 @@ class Polynomial:
         c = _coerce(coeff)
         if c == 0:
             return ZERO
-        return _polynomial({m * mono: k * c for m, k in self.terms.items()})
+        out: dict = {}
+        _add_scaled(out, self.terms, c, mono)
+        return _polynomial(out)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -504,31 +546,57 @@ class Polynomial:
         Each term c*m adds c * m(numerators) * d**(K - deg m), so int
         coefficients give an exact int and Fraction ones an exact Fraction;
         it is zero exactly when self(x) is.  The zero polynomial gives 0.
-        One table serves every polynomial evaluated at the same point.
+        One table serves every polynomial evaluated at the same point; a
+        table shorter than the total degree raises ValueError.
         """
+        try:
+            terms, top = self._decoded
+        except AttributeError:
+            terms, top = self._decoded_terms()
         k = len(dpow) - 1
+        if top > k:
+            raise ValueError(f"power table reaches d**{k}, below the total "
+                             f"degree {top}")
         total = 0
         try:
-            for m, c in self.terms.items():
-                v = c * dpow[k - m.degree]
-                for name, e in m.exps:
+            for _, c, degree, exps in terms:
+                v = c * dpow[k - degree]
+                for name, e in exps:
                     v *= numerators[name] if e == 1 else numerators[name] ** e
                 total += v
         except KeyError as e:
             raise MissingVariableError(e.args[0]) from None
         return total
 
+    def _decoded_terms(self):
+        """([(monomial, coefficient, degree, exps)] in term order, total
+        degree), made on first use and kept: evaluation and printing read
+        names, not fields."""
+        try:
+            return self._decoded
+        except AttributeError:
+            # read just the fields some term uses, in name order
+            used = [(v, _shift(v)) for v in self.variables()]
+            terms = [(m, c, m & _LIMIT,
+                      tuple([(v, e) for v, s in used
+                             if (e := (m >> s) & _FIELD)]))
+                     for m, c in self.terms.items()]
+            self._decoded = (terms, self.total_degree)
+            return self._decoded
+
     def evaluate(self, env: dict) -> Fraction:
         """Exact value at a rational point; raises on unbound variables."""
         d, numerators = scaled_point(
-            env, (name for m in self.terms for name, _ in m.exps))
+            env, (name for _, _, _, exps in self._decoded_terms()[0]
+                  for name, _ in exps))
         dpow = power_table(d, self.total_degree)
         return Fraction(self.scaled_value(dpow, numerators), dpow[-1])
 
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if (isinstance(other, (int, Fraction))
+                and not isinstance(other, Monomial)):
             other = as_polynomial(other)
         return isinstance(other, Polynomial) and self.terms == other.terms
 
@@ -538,13 +606,16 @@ class Polynomial:
     def to_string(self, order: TermOrder | None = None) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for m, c in self.sorted_terms(order):
-            if m.is_one():
-                parts.append(str(c))
-            else:
-                parts.append(f"{c}*{m!r}")
-        return " + ".join(parts)
+        # terms in descending order: under order if given, else graded and
+        # then by the name-sorted exponent pairs
+        if order is not None:
+            key = order.key
+            keyf = lambda row: key(row[0])
+        else:
+            keyf = lambda row: (row[2], tuple((v, -e) for v, e in row[3]))
+        rows = sorted(self._decoded_terms()[0], key=keyf, reverse=True)
+        return " + ".join(f"{c}*{_power_product(exps)}" if exps else str(c)
+                          for _, c, _, exps in rows)
 
     def __str__(self):
         return self.to_string()
@@ -590,7 +661,9 @@ def pseudo_divide(f: Polynomial, g: Polynomial, x: str,
     # g = init * x^dg + tail.  With lc the coefficient of x^dr in r, a step
     # is r := init * (r - lc * x^dr) - lc * x^(dr-dg) * tail: the x^dr terms
     # cancel exactly, so they are never formed, and deg_x(r) drops
-    tail = {m: c for m, c in g.terms.items() if m.degree_in(x) < dg}
+    s = _shift(x)
+    x1 = (1 << s) + 1           # x**1 packed: its field and the degree
+    tail = {m: c for m, c in g.terms.items() if (m >> s) & _FIELD < dg}
     q: dict = {}
     r = f.terms
     k = 0
@@ -600,17 +673,18 @@ def pseudo_divide(f: Polynomial, g: Polynomial, x: str,
             deadline.check()
         lc: dict = {}
         low: dict = {}
+        top = dr * x1
         for m, c in r.items():
-            if m.degree_in(x) == dr:
-                lc[m.drop(x)] = c
+            if (m >> s) & _FIELD == dr:
+                lc[_new(Monomial, m - top)] = c
             else:
                 low[m] = c
-        shift = Monomial({x: dr - dg})
+        shift = (dr - dg) * x1
         q = _product(init, q)
         _add_scaled(q, lc, 1, shift)
         r = _product(init, low)
         for m, c in lc.items():
-            _add_scaled(r, tail, -c, m * shift)
+            _add_scaled(r, tail, -c, m + shift)
         k += 1
-        dr = max((m.degree_in(x) for m in r), default=0)
+        dr = max(((m >> s) & _FIELD for m in r), default=0)
     return _polynomial(q), _polynomial(r), k

@@ -113,6 +113,9 @@ def fingerprint_lines():
     return lines
 
 
+def kernel_digest() -> str:
+    return hashlib.sha256("\n".join(fingerprint_lines()).encode()).hexdigest()
+
+
 def test_golden_kernel_digest():
-    digest = hashlib.sha256("\n".join(fingerprint_lines()).encode())
-    assert digest.hexdigest() == GOLDEN_KERNEL_DIGEST
+    assert kernel_digest() == GOLDEN_KERNEL_DIGEST

@@ -96,7 +96,10 @@ def oracle_lines(tmp_path):
     return lines
 
 
-def test_oracle_golden_digest(tmp_path):
-    digest = hashlib.sha256(
+def oracle_digest(tmp_path) -> str:
+    return hashlib.sha256(
         "\n".join(oracle_lines(tmp_path)).encode()).hexdigest()
-    assert digest == GOLDEN_ORACLE_DIGEST
+
+
+def test_oracle_golden_digest(tmp_path):
+    assert oracle_digest(tmp_path) == GOLDEN_ORACLE_DIGEST

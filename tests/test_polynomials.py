@@ -1,7 +1,11 @@
 """Exact polynomial arithmetic: ring laws, orders, pseudo-division."""
 
 import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from gatpbench.polynomials import (MissingVariableError, Monomial,
                                    scaled_point, var)
 
 x, y, z, u, v = (var(n) for n in "xyzuv")
+LIMIT = 2 ** 15 - 1     # largest exponent and total degree of a Monomial
 
 
 def random_poly(rng, names=("x", "y", "z"), terms=4, deg=3, bound=9):
@@ -150,6 +155,16 @@ class TestEvaluation:
         # only the variables the polynomial uses are read
         assert x.evaluate({"x": 2, "y": 0.5}) == 2
 
+    def test_short_power_table_raises(self):
+        p = x ** 2 + 1
+        d, numerators = scaled_point({"x": Fraction(1, 2)}, ["x"])
+        assert p.scaled_value(power_table(d, 2), numerators) == 5
+        with pytest.raises(ValueError):
+            p.scaled_value(power_table(d, 1), numerators)
+        with pytest.raises(ValueError):
+            (x * y).scaled_value([1], {"x": 1, "y": 1})
+        assert Polynomial().scaled_value([1], {}) == 0
+
     def test_unbound_variable_raises_missing_variable_error(self):
         with pytest.raises(MissingVariableError):
             (x * y + 1).evaluate({"x": Fraction(1, 2)})
@@ -178,37 +193,185 @@ class TestStructure:
         assert Monomial({"y": 1}).coprime(n)
 
     def test_monomial_merges_match_exponent_arithmetic(self):
+        # every packed operation against a plain name -> exponent dict, on
+        # monomials wider than 64 bits and exponents just below the limit
         rng = random.Random(2718)
         names = "abcdxyz"
 
         def draw():
-            return {n: rng.randint(0, 3) for n in rng.sample(names, 4)}
+            picked = rng.sample(names, 4)
+            d = {n: rng.randint(0, 3) for n in picked}
+            if rng.random() < 0.2:      # one exponent near the limit
+                d[picked[0]] = 0
+                d[picked[0]] = LIMIT - sum(d.values()) - rng.randint(0, 2)
+            return {n: e for n, e in d.items() if e}
 
-        for _ in range(500):
+        def text(d):
+            return "*".join(n if e == 1 else f"{n}^{e}"
+                            for n, e in sorted(d.items())) or "1"
+
+        wide = 0
+        for _ in range(1500):
             da, db = draw(), draw()
             a, b = Monomial(da), Monomial(db)
+            wide += a.bit_length() > 64
             both = set(da) | set(db)
-            prod = Monomial({n: da.get(n, 0) + db.get(n, 0) for n in both})
-            assert a * b == prod and (a * b).exps == prod.exps
-            assert (a * b).degree == a.degree + b.degree
-            lcm = Monomial({n: max(da.get(n, 0), db.get(n, 0)) for n in both})
-            assert a.lcm(b).exps == lcm.exps
-            assert a.lcm(b).degree == lcm.degree
+            assert a.exps == tuple(sorted(da.items()))
+            assert a.degree == sum(da.values())
+            assert repr(a) == str(a) == text(da)
+            assert a.variables() == tuple(sorted(da))
+            for n in names:
+                assert a.degree_in(n) == da.get(n, 0)
+            prod = {n: da.get(n, 0) + db.get(n, 0) for n in both}
+            if sum(prod.values()) > LIMIT:
+                with pytest.raises(OverflowError):
+                    a * b
+            else:
+                assert a * b == Monomial(prod)
+                assert (a * b).exps == tuple(sorted(prod.items()))
+                assert (a * b).degree == a.degree + b.degree
+            lcm = {n: max(da.get(n, 0), db.get(n, 0)) for n in both}
+            if sum(lcm.values()) > LIMIT:
+                with pytest.raises(OverflowError):
+                    a.lcm(b)
+            else:
+                assert a.lcm(b) == Monomial(lcm)
+                assert a.lcm(b).exps == tuple(sorted(lcm.items()))
+                assert a.lcm(b).degree == sum(lcm.values())
+            assert a.coprime(b) == (not set(da) & set(db))
             divides = all(db.get(n, 0) >= e for n, e in da.items())
             assert a.divides(b) == divides
             if divides:
                 q = b.divide(a)
+                assert q.exps == tuple(sorted(
+                    (n, e - da.get(n, 0)) for n, e in db.items()
+                    if e != da.get(n, 0)))
                 assert q * a == b and q.degree == b.degree - a.degree
             else:
                 with pytest.raises(ValueError):
                     b.divide(a)
-            assert a.drop("x").exps == Monomial(
-                {n: e for n, e in da.items() if n != "x"}).exps
+            for n in "xa":
+                rest = {m: e for m, e in da.items() if m != n}
+                assert a.drop(n) == Monomial(rest)
+                assert a.drop(n).exps == tuple(sorted(rest.items()))
+                assert a.drop(n).degree == sum(rest.values())
+        assert wide > 100
 
     def test_to_string_is_stable(self):
         p = 3 * x ** 2 * y - z + Fraction(1, 2)
         assert p.to_string() == (x ** 2 * y * 3 + z * -1
                                  + Fraction(1, 2)).to_string()
+
+
+class TestPackedMonomials:
+    """A Monomial is one int of bit fields, placed by a registry of names
+    that the whole process shares."""
+
+    def test_exponent_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            Monomial({"x": 2 ** 40})
+        with pytest.raises(OverflowError):
+            Monomial({"x": LIMIT + 1})
+        with pytest.raises(OverflowError):
+            Monomial({"x": LIMIT, "y": 1})      # total degree above the limit
+        with pytest.raises(OverflowError):
+            Monomial([("x", LIMIT), ("x", 1)])
+        top = Monomial({"x": LIMIT})
+        assert top.exps == (("x", LIMIT),) and top.degree == LIMIT
+        for other in (Monomial({"x": 1}), Monomial({"y": 1})):
+            with pytest.raises(OverflowError):
+                top * other
+        assert top.lcm(Monomial({"x": 1})) == top
+        with pytest.raises(OverflowError):
+            top.lcm(Monomial({"y": 1}))
+        with pytest.raises(OverflowError):
+            x ** LIMIT * x
+        with pytest.raises(OverflowError):
+            x ** LIMIT * (y + 1)
+        with pytest.raises(OverflowError):
+            (x ** LIMIT + 1).term_times(2, Monomial({"z": 1}))
+        assert (x ** (LIMIT - 1) * x).terms == {top: 1}
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            Monomial({"x": -1})
+        with pytest.raises(ValueError):
+            Monomial([("x", 2), ("y", -3)])
+
+    def test_monomial_is_not_a_scalar(self):
+        with pytest.raises(TypeError):
+            x * Monomial({"y": 1})
+        with pytest.raises(TypeError):
+            Polynomial.constant(Monomial({"y": 1}))
+        assert x != Monomial({"x": 1})
+
+    @pytest.mark.parametrize("arrangement", ["reversed", "shuffled"])
+    def test_registry_order_does_not_change_output(self, arrangement,
+                                                   tmp_path):
+        # a fresh interpreter hands out fields in another order before the
+        # kernel and oracle fingerprints are taken
+        names = ([f"u{i}" for i in range(1, 41)]
+                 + [f"x{i}" for i in range(1, 41)] + list("xyzuvw"))
+        if arrangement == "reversed":
+            names.reverse()
+        else:
+            random.Random(5).shuffle(names)
+        child = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from gatpbench import polynomials
+for name in {names!r}:
+    polynomials.Monomial({{name: 1}})
+assert polynomials._NAMES[1:] == {names!r}
+import test_kernel_golden as k, test_oracle_golden as o
+from pathlib import Path
+print(k.kernel_digest(), o.oracle_digest(Path({str(tmp_path)!r})))
+"""
+        out = subprocess.run([sys.executable, "-c", child],
+                             capture_output=True, text=True, timeout=600)
+        assert out.returncode == 0, out.stderr
+        from test_kernel_golden import GOLDEN_KERNEL_DIGEST
+        from test_oracle_golden import GOLDEN_ORACLE_DIGEST
+        assert out.stdout.split() == [GOLDEN_KERNEL_DIGEST,
+                                      GOLDEN_ORACLE_DIGEST]
+
+    def test_registry_under_threads(self):
+        threads, per_thread = 8, 12
+        barrier = threading.Barrier(threads)
+        made = {}
+
+        def register(t):
+            names = [f"thread{t}_{i}" for i in range(per_thread)]
+            barrier.wait()
+            made[t] = [Monomial({n: i + 1}) for i, n in enumerate(names)]
+
+        workers = [threading.Thread(target=register, args=(t,))
+                   for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        fields = {}
+        for t, monomials in made.items():
+            for i, m in enumerate(monomials):
+                name = f"thread{t}_{i}"
+                assert m.exps == ((name, i + 1),)
+                fields[name] = m.bit_length()
+        # one field each: the top bit of every monomial is its own
+        assert len(set(fields.values())) == threads * per_thread
+        everything = Monomial()
+        for t, monomials in made.items():
+            product = Monomial()
+            for m in monomials:
+                product = product * m
+                everything = everything * m
+            assert product.exps == tuple(sorted(
+                (f"thread{t}_{i}", i + 1) for i in range(per_thread)))
+            assert product.degree == per_thread * (per_thread + 1) // 2
+        assert len(everything.exps) == threads * per_thread
+        assert dict(everything.exps) == {
+            f"thread{t}_{i}": i + 1
+            for t in range(threads) for i in range(per_thread)}
 
 
 class TestOrders:
