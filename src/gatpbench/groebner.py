@@ -6,6 +6,9 @@ at the first generator or S-polynomial that reduces to a nonzero constant
 and returns [1], the reduced basis of the unit ideal.  Any other returned
 basis is inter-reduced, monic, and sorted by descending leading monomial,
 so equal ideals with equal orders yield byte-for-byte equal bases.
+Buchberger's basis and interreduce's kept set build each element's divisor
+record (lead monomial, lead coefficient, tail) once, when the element is
+added, and every later division reads it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .polynomials import (Monomial, Polynomial, TermOrder, _add_scaled, _new,
 def normal_form(f: Polynomial, basis, order: TermOrder,
                 deadline: Deadline | None = None) -> Polynomial:
     """Remainder of f under multivariate division by basis (in list order)."""
-    return _reduce(f, [as_polynomial(g) for g in basis], order, deadline, None)
+    return _reduce(f, _divisors(basis, order), order, deadline, None)
 
 
 def divide(f: Polynomial, basis, order: TermOrder,
@@ -32,23 +35,53 @@ def divide(f: Polynomial, basis, order: TermOrder,
 
     and no remainder term divisible by any basis leading monomial.
     """
-    basis = [as_polynomial(g) for g in basis]
+    if type(basis) is not _Basis:
+        basis = [as_polynomial(g) for g in basis]
     quotients: list[dict] = [{} for _ in basis]
-    remainder = _reduce(f, basis, order, deadline, quotients)
+    remainder = _reduce(f, _divisors(basis, order), order, deadline,
+                        quotients)
     return [_polynomial(q) for q in quotients], remainder
 
 
-def _reduce(f: Polynomial, basis: list, order: TermOrder,
+def _divisor(g: Polynomial, order: TermOrder, i: int) -> tuple:
+    """(lead monomial, lead coefficient, tail terms, i): what dividing by
+    the i-th basis element g reads."""
+    lm = g.leading_monomial(order)
+    tail = dict(g.terms)
+    lc = tail.pop(lm)
+    return lm, lc, tail, i
+
+
+class _Basis(list):
+    """A basis that builds each element's divisor record once, when the
+    element is appended; normal_form and divide read the records instead of
+    rebuilding them.  append is the only mutator that keeps them."""
+
+    __slots__ = ("order", "divisors")
+
+    def __init__(self, order: TermOrder):
+        super().__init__()
+        self.order = order
+        self.divisors: list[tuple] = []
+
+    def append(self, g: Polynomial) -> None:
+        self.divisors.append(_divisor(g, self.order, len(self)))
+        super().append(g)
+
+
+def _divisors(basis, order: TermOrder) -> list:
+    """The divisor records of basis's nonzero elements, in list order."""
+    if type(basis) is _Basis and basis.order is order:
+        return basis.divisors
+    return [_divisor(g, order, i)
+            for i, g in enumerate(map(as_polynomial, basis))
+            if not g.is_zero()]
+
+
+def _reduce(f: Polynomial, divisors: list, order: TermOrder,
             deadline: Deadline | None, quotients: list | None) -> Polynomial:
-    """Division of f by basis on one working term map; fills quotients
-    (one dict per basis element) when given."""
-    leads = []
-    for i, g in enumerate(basis):
-        if not g.is_zero():
-            lm = g.leading_monomial(order)
-            tail = dict(g.terms)
-            lc = tail.pop(lm)
-            leads.append((lm, lc, tail, i))
+    """Division of f by the divisor records on one working term map; fills
+    quotients (one dict per basis element) when given."""
     key = order.key
     # every field of these monomials is registered by now, so one read of
     # the guard bits serves the whole division (see Monomial.divides)
@@ -61,7 +94,7 @@ def _reduce(f: Polynomial, basis: list, order: TermOrder,
         if deadline is not None:
             deadline.check()
         lm_g = lm | g
-        for glm, glc, tail, i in leads:
+        for glm, glc, tail, i in divisors:
             if (lm_g - glm) & g == g:
                 t = lm - glm
                 c = _quotient(lc, glc)
@@ -91,7 +124,7 @@ def buchberger(gens, order: TermOrder,
     generator or an S-polynomial reduces to a nonzero constant, [1] is
     returned without handling the pairs still pending.
     """
-    basis: list[Polynomial] = []
+    basis = _Basis(order)
     for f in gens:
         f = as_polynomial(f)
         if f.is_zero():
@@ -103,37 +136,40 @@ def buchberger(gens, order: TermOrder,
             return [Polynomial.constant(1)]
         basis.append(h.monic(order))
 
-    leads = [g.leading_monomial(order) for g in basis]
-    pending: list = []      # heap of (lcm degree, i, j); each pair pushed once
+    leads = [d[0] for d in basis.divisors]
+    # heap of (lcm degree, i, j, lcm); each pair pushed once, and (i, j)
+    # alone orders the heap
+    pending: list = []
 
     def push_pairs(j: int):
         lmj = leads[j]
         for i in range(j):
-            heapq.heappush(pending, (leads[i].lcm(lmj).degree, i, j))
+            l = leads[i].lcm(lmj)
+            heapq.heappush(pending, (l.degree, i, j, l))
 
     for j in range(len(basis)):
         push_pairs(j)
-    pending_set = {(i, j) for _, i, j in pending}
+    pending_set = {(i, j) for _, i, j, _ in pending}
 
     while pending:
         if deadline is not None:
             deadline.check()
-        _, i, j = heapq.heappop(pending)
+        _, i, j, l = heapq.heappop(pending)
         pending_set.discard((i, j))
-        lmi, lmj = leads[i], leads[j]
-        if lmi.coprime(lmj):
+        if leads[i].coprime(leads[j]):
             continue  # coprime-lead criterion
-        l = lmi.lcm(lmj)
         if _chain_criterion(leads, i, j, l, pending_set):
             continue
         s = s_polynomial(basis[i], basis[j], order)
+        # through the module global, so that normal_form stays one call
+        # per reduction wherever it is wrapped
         h = normal_form(s, basis, order, deadline)
         if h.is_zero():
             continue
         if h.is_constant():
             return [Polynomial.constant(1)]
         basis.append(h.monic(order))
-        leads.append(basis[-1].leading_monomial(order))
+        leads.append(basis.divisors[-1][0])
         push_pairs(len(basis) - 1)
         pending_set.update((i2, len(basis) - 1) for i2 in range(len(basis) - 1))
 
@@ -163,17 +199,16 @@ def interreduce(polys, order: TermOrder,
     work = [p.monic(order) for p in polys if not p.is_zero()]
     # keep only lead-minimal members; process ascending so divisors come first
     work.sort(key=lambda p: order.key(p.leading_monomial(order)))
-    kept: list[Polynomial] = []
+    kept = _Basis(order)
     for p in work:
         lm = p.leading_monomial(order)
-        if any(q.leading_monomial(order).divides(lm) for q in kept):
+        if any(d[0].divides(lm) for d in kept.divisors):
             continue
         # a lead divides only terms at or above it, so just the members
         # before p can reduce p's tail, and they are already final; p's
         # own lead (coefficient 1) is divisible by none of them
         kept.append(normal_form(p, kept, order, deadline))
-    kept.reverse()
-    return kept
+    return kept[::-1]
 
 
 def is_unit_basis(basis) -> bool:

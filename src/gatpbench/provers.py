@@ -4,6 +4,8 @@ wu_prove triangulates the hypotheses into an ascending chain over the
 dependent variables and pseudo-reduces each conclusion through the chain;
 a zero final remainder means the conjecture holds generically, modulo the
 nonvanishing of the chain initials (reported as ndg conditions).
+Triangulation works out each pool member's rank key and each chain
+member's main-variable degree once, when the member is made.
 
 groebner_prove decides radical membership by adjoining 1 - z*g and testing
 whether the Buchberger basis collapses to {1}; it inverts each
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import os
 import random
@@ -30,6 +33,7 @@ import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .algebraize import PolynomialSystem
 from .budget import Deadline, DeadlineExceeded
@@ -127,6 +131,7 @@ class ChainMember:
     poly: Polynomial
     main_var: str
     initial: Polynomial
+    degree: int         # poly's degree in main_var
 
 
 def _dep_index(poly: Polynomial, depidx: dict) -> int:
@@ -139,15 +144,29 @@ def _dep_index(poly: Polynomial, depidx: dict) -> int:
     return best
 
 
-def _rank(poly: Polynomial, depidx: dict, depname: dict):
+def _pool_entry(poly: Polynomial, depidx: dict, depname: dict) -> tuple:
+    """(rank key, poly), the rank key being (class, degree in the class
+    variable, term count); to_string() breaks ties (_by_rank)."""
     c = _dep_index(poly, depidx)
-    d = poly.degree_in(depname[c]) if c else 0
-    return (c, d, len(poly.terms), poly.to_string())
+    return (c, poly.degree_in(depname[c]) if c else 0, len(poly.terms)), poly
 
 
-def _check_reduced_pool(pool, depidx):
-    for p in pool:
-        if _dep_index(p, depidx) == 0:
+def _by_rank(pool: list) -> list:
+    """pool's entries in ascending (rank key, to_string()) order, printing
+    only the polynomials whose rank keys tie."""
+    ranked = sorted(pool, key=itemgetter(0))
+    out = []
+    for _, tied in itertools.groupby(ranked, key=itemgetter(0)):
+        tied = list(tied)
+        if len(tied) > 1:
+            tied.sort(key=lambda e: e[1].to_string())
+        out += tied
+    return out
+
+
+def _check_reduced_pool(entries):
+    for (c, _, _), p in entries:
+        if c == 0:
             if p.is_constant():
                 raise InconsistentSystemError(
                     f"hypotheses force {p.constant_value()} = 0")
@@ -159,7 +178,7 @@ def _remainder(p: Polynomial, chain: list[ChainMember],
                deadline: Deadline) -> Polynomial:
     """Successive pseudo-remainder of p down the chain, last member first."""
     for m in reversed(chain):
-        if p.degree_in(m.main_var) >= m.poly.degree_in(m.main_var):
+        if p.degree_in(m.main_var) >= m.degree:
             p = pseudo_divide(p, m.poly, m.main_var, deadline)[1]
         deadline.check()
     return p
@@ -179,36 +198,36 @@ def wu_triangulate(system: PolynomialSystem,
     depidx = {v.name: v.index for v in system.dependents}
     depname = {v.index: v.name for v in system.dependents}
 
-    pool: list[Polynomial] = []
+    pool: list[tuple] = []      # (rank key, poly), see _pool_entry
     for h in system.hypotheses:
-        if not h.is_zero() and h not in pool:
-            pool.append(h)
-    _check_reduced_pool(pool, depidx)
+        if not h.is_zero() and all(h != q for _, q in pool):
+            pool.append(_pool_entry(h, depidx, depname))
+    _check_reduced_pool(pool)
     if not pool:
         return []
 
     while True:
         deadline.check()
         chain: list[ChainMember] = []
-        for p in sorted(pool, key=lambda p: _rank(p, depidx, depname)):
-            mv = depname[_dep_index(p, depidx)]
+        for (c, d, _), p in _by_rank(pool):
             if not chain or (
-                    depidx[mv] > depidx[chain[-1].main_var]
-                    and all(p.degree_in(m.main_var) < m.poly.degree_in(m.main_var)
+                    c > depidx[chain[-1].main_var]
+                    and all(p.degree_in(m.main_var) < m.degree
                             for m in chain)):
-                chain.append(ChainMember(p, mv, p.leading_coeff_in(mv)))
-        remainders: list[Polynomial] = []
-        for p in pool:
+                mv = depname[c]
+                chain.append(ChainMember(p, mv, p.leading_coeff_in(mv), d))
+        remainders: list[tuple] = []
+        for _, p in pool:
             if not any(p is m.poly for m in chain):
                 r = _remainder(p, chain, deadline)
                 if not r.is_zero():
-                    remainders.append(r)
+                    remainders.append(_pool_entry(r, depidx, depname))
         if not remainders:
             return chain
-        _check_reduced_pool(remainders, depidx)
-        for r in remainders:
-            if r not in pool:
-                pool.append(r)
+        _check_reduced_pool(remainders)
+        for e in remainders:
+            if all(e[1] != q for _, q in pool):
+                pool.append(e)
         # the basic set never survives unchanged: some remainder has strictly
         # lower rank than a chain member it will displace
 

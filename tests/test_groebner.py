@@ -157,3 +157,29 @@ class TestUnitIdealStopsEarly:
         assert len(calls) == 1      # y^2 + z is never reduced
         assert buchberger([Polynomial.constant(3), x], LEX_XY) \
             == [Polynomial.constant(1)]
+
+
+def test_divisor_records_divide_like_a_plain_list(monkeypatch):
+    """normal_form and divide read Buchberger's record-carrying basis
+    exactly as they read the same polynomials in a plain list."""
+    real = groebner.normal_form
+    seen = []
+
+    def checked(f, basis, order, deadline=None):
+        assert type(basis) is groebner._Basis
+        plain = list(basis)
+        got = real(f, basis, order, deadline)
+        assert got == real(f, plain, order)
+        quotients, remainder = divide(f, basis, order)
+        assert (quotients, remainder) == divide(f, plain, order)
+        assert remainder == got
+        seen.append(len(plain))
+        return got
+    monkeypatch.setattr(groebner, "normal_form", checked)
+    rng = random.Random(31415)
+    lex = TermOrder(TermOrder.LEX, ("x", "y", "z"))
+    for _ in range(40):
+        order = rng.choice([lex, DRL_XYZ])
+        buchberger([random_poly(rng, terms=3)
+                    for _ in range(rng.randint(2, 4))], order)
+    assert len(seen) > 100 and max(seen) >= 4

@@ -22,9 +22,10 @@ from gatpbench.provers import groebner_prove, wu_prove
 GOLDEN_KERNEL_DIGEST = (
     "427feceaea5a69902dc611d85c7b7a8c3b45c7ed9b7e56ff98c02acd1f7ee752")
 
-# the digest was fixed while the Groebner prover could not decide this
-# entry in reasonable time, so it leaves the entry out; its gbm verdict and
-# ndgs are checked against wu in tests/test_provers.py
+# the digest was fixed before the Groebner prover could decide this entry,
+# so it leaves the entry out; gbm now decides it in a fraction of a second,
+# and its verdict and ndgs are checked against wu, and its call counts
+# pinned, in tests/test_provers.py
 GBM_SKIP = {"GEO0008"}
 
 x, y, z = var("x"), var("y"), var("z")

@@ -18,7 +18,7 @@ from gatpbench.algebraize import (DEPENDENT, PARAM, PolynomialSystem,
 from gatpbench.corpus import bundled_manifest_path, load_corpus
 from gatpbench.groebner import buchberger, is_unit_basis
 from gatpbench.polynomials import Polynomial, TermOrder, var
-from gatpbench import provers
+from gatpbench import groebner, provers
 from gatpbench.problems import parse_problem
 from gatpbench.provers import (TRACE_LIMIT, Consistent,
                                Counterexample, DegenerateExhaustedError,
@@ -73,6 +73,42 @@ class TestTriangulate:
         s = synthetic_system([x1 - u1, x1 - u1], [x1 - u1],
                              n_deps=1, n_params=1)
         assert len(wu_triangulate(s)) == 1
+
+    def test_chain_member_degree_is_the_main_variable_degree(self):
+        for pid, s in bundled_systems():
+            for m in wu_triangulate(s):
+                assert m.degree == m.poly.degree_in(m.main_var), pid
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_equal_rank_keys_tie_break_on_printed_text(self, swap):
+        # both are (class 1, degree 2, 2 terms); "1*u2*x1^2 + -1*u1*u2"
+        # prints before "1*x1^2 + -1*u1", so it leads the basic set in
+        # either pool order, and the other reduces to zero by it
+        x1, u1, u2 = var("x1"), var("u1"), var("u2")
+        a, b = x1 ** 2 - u1, u2 * x1 ** 2 - u1 * u2
+        s = synthetic_system([b, a] if swap else [a, b], [x1 ** 4 - u1 ** 2],
+                             n_deps=1, n_params=2)
+        chain = wu_triangulate(s)
+        assert [(m.poly, m.main_var, m.initial, m.degree) for m in chain] \
+            == [(b, "x1", u2, 2)]
+        assert wu_prove(s).ndg_conditions == (u2,)
+
+    def test_lazy_tie_break_orders_like_the_full_key(self):
+        rng = random.Random(8)
+        depidx = {f"x{i}": i for i in (1, 2, 3)}
+        depname = {i: n for n, i in depidx.items()}
+        names = [*depidx, "u1", "u2"]
+        for _ in range(200):
+            pool = []
+            for _ in range(rng.randint(2, 9)):
+                p = Polynomial.constant(rng.choice([-2, 1, 3]))
+                for _ in range(rng.randint(1, 3)):
+                    p = p + rng.choice([-1, 1, 2]) * var(rng.choice(names)) \
+                        ** rng.randint(1, 2) * var(rng.choice(names))
+                if not p.is_zero() and p not in [q for _, q in pool]:
+                    pool.append(provers._pool_entry(p, depidx, depname))
+            full = sorted(pool, key=lambda e: (*e[0], e[1].to_string()))
+            assert provers._by_rank(pool) == full
 
 
 class TestWuProver:
@@ -137,6 +173,31 @@ def product_inverter_is_unit(system):
     return all(is_unit_basis(buchberger(list(system.hypotheses) + extra
                                         + [1 - var("z") * g], order))
                for g in system.conclusions if not g.is_zero())
+
+
+class TestGeo0008Work:
+    """The work gbm does on the Euler line entry, counted at each call
+    site: a change that makes it faster without moving these counts cut
+    overhead, not work."""
+
+    def count_calls(self, monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_gbm_call_counts(self, monkeypatch):
+        s_polys = self.count_calls(monkeypatch, groebner, "s_polynomial")
+        forms = self.count_calls(monkeypatch, groebner, "normal_form")
+        divisions = self.count_calls(monkeypatch, provers, "pseudo_divide")
+        out = groebner_prove(load("GEO0008"), timeout_seconds=60)
+        assert out.status is Status.PROVED
+        assert len(out.ndg_conditions) == 11
+        assert (len(s_polys), len(forms), len(divisions)) == (161, 186, 164)
 
 
 class TestGroebnerProver:
