@@ -22,10 +22,9 @@ from .algebraize import AlgebraizeError, algebraize
 from .budget import DEFAULT_TIMEOUT_SECONDS, budget_seconds
 from .corpus import CorpusError, load_corpus
 from .problems import ParseError, parse_problem
-from .provers import (Counterexample, DegenerateExhaustedError,
-                      SpawnFailureError, Status, external_descriptor,
-                      external_prove, groebner_descriptor, groebner_prove,
-                      numeric_check, wu_descriptor, wu_prove)
+from .provers import (BUILTINS, Counterexample, DegenerateExhaustedError,
+                      SpawnFailureError, Status, builtin_descriptor,
+                      external_descriptor, numeric_check)
 from .ranking import (DIMENSIONS, NegativeWeightError, RankingError,
                       report_from_records)
 
@@ -35,10 +34,6 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 ENV_TIMEOUT = "GATPBENCH_TIMEOUT"
-
-
-# built-in prover ids and the descriptors they stand for
-_BUILTINS = {"wu": wu_descriptor, "gbm": groebner_descriptor}
 
 
 class UsageError(Exception):
@@ -74,7 +69,7 @@ def _parse_external(specs) -> list:
         ident, sep, template = spec.partition("=")
         if not sep or not ident or not template:
             raise UsageError(f"--external wants ID=TEMPLATE, got {spec!r}")
-        if ident in _BUILTINS or any(d.id == ident for d in out):
+        if ident in BUILTINS or any(d.id == ident for d in out):
             raise UsageError(f"--external id {ident!r} is a built-in prover "
                              "or declared twice")
         try:
@@ -91,13 +86,14 @@ def _parse_provers(listing: str, externals) -> list:
     for name in filter(None, (s.strip() for s in listing.split(","))):
         if any(d.id == name for d in out):
             raise UsageError(f"prover {name!r} listed twice")
-        if name in _BUILTINS:
-            out.append(_BUILTINS[name]())
+        if name in BUILTINS:
+            out.append(builtin_descriptor(name))
         elif name in byid:
             out.append(byid.pop(name))
         else:
-            raise UsageError(f"unknown prover {name!r} "
-                             "(builtin: wu, gbm; externals need --external)")
+            raise UsageError(
+                f"unknown prover {name!r} (builtin: {', '.join(BUILTINS)}; "
+                "externals need --external)")
     out.extend(byid.values())
     if not out:
         raise UsageError("no provers selected")
@@ -136,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="decide one problem file")
     p.add_argument("file")
-    p.add_argument("--prover", choices=list(_BUILTINS), default="wu")
+    p.add_argument("--prover", choices=list(BUILTINS), default="wu")
     p.add_argument("--timeout", type=_positive_seconds, default=None,
                    metavar="S")
     p.add_argument("--trace", action="store_true",
@@ -144,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="run provers over a corpus")
     b.add_argument("--corpus", required=True, metavar="MANIFEST")
-    b.add_argument("--provers", default="wu,gbm", metavar="LIST",
-                   help="comma-separated: wu, gbm, or external ids")
+    b.add_argument("--provers", default=",".join(BUILTINS), metavar="LIST",
+                   help="comma-separated built-in or --external ids")
     b.add_argument("--external", action="append", metavar="ID=TEMPLATE",
                    help="external prover command with {input} placeholder")
     b.add_argument("--timeout", type=_positive_seconds, default=None,
@@ -183,8 +179,8 @@ def _load_problem(path: str):
 def _cmd_prove(args) -> int:
     timeout = resolve_timeout(args.timeout)
     system = algebraize(_load_problem(args.file))
-    prove = wu_prove if args.prover == "wu" else groebner_prove
-    outcome = prove(system, timeout_seconds=timeout, trace=args.trace)
+    outcome = BUILTINS[args.prover](system, timeout_seconds=timeout,
+                                    trace=args.trace)
     print(outcome.status.value.capitalize())
     if outcome.ndg_conditions:
         for cond in outcome.ndg_conditions:
@@ -245,17 +241,15 @@ def _cmd_rank(args) -> int:
     weights = _parse_weights(args.weights) if args.weights else None
 
     known = {d.id: d for d in _parse_external(args.external)}
+    known.update((b, builtin_descriptor(b)) for b in BUILTINS)
     descriptors = []
     for pid in sorted({r.prover_id for r in records}):
-        if pid in _BUILTINS:
-            descriptors.append(_BUILTINS[pid]())
-        elif pid in known:
-            descriptors.append(known[pid])
-        else:
+        if pid not in known:
             # metadata unknown: rank it, but at the least-trusted defaults
             print(f"note: no descriptor for {pid!r}; "
                   "assuming readability 1, unverified", file=sys.stderr)
-            descriptors.append(external_descriptor(pid, "true {input}"))
+            known[pid] = external_descriptor(pid, "true {input}")
+        descriptors.append(known[pid])
     report = report_from_records(records, descriptors, corpus,
                                  time_source=args.time_source,
                                  weights=weights)

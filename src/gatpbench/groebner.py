@@ -36,7 +36,7 @@ def divide(f: Polynomial, basis, order: TermOrder,
     and no remainder term divisible by any basis leading monomial.
     """
     if type(basis) is not _Basis:
-        basis = [as_polynomial(g) for g in basis]
+        basis = list(basis)
     quotients: list[dict] = [{} for _ in basis]
     remainder = _reduce(f, _divisors(basis, order), order, deadline,
                         quotients)
@@ -137,27 +137,27 @@ def buchberger(gens, order: TermOrder,
         basis.append(h.monic(order))
 
     leads = [d[0] for d in basis.divisors]
-    # heap of (lcm degree, i, j, lcm); each pair pushed once, and (i, j)
-    # alone orders the heap
+    # heap of (lcm degree, i, j), each pair pushed once; the lcm itself is
+    # worked out again on pop, and only for pairs that pass the coprime test
     pending: list = []
 
     def push_pairs(j: int):
         lmj = leads[j]
         for i in range(j):
-            l = leads[i].lcm(lmj)
-            heapq.heappush(pending, (l.degree, i, j, l))
+            heapq.heappush(pending, (leads[i].lcm(lmj).degree, i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
-    pending_set = {(i, j) for _, i, j, _ in pending}
+    pending_set = {(i, j) for _, i, j in pending}
 
     while pending:
         if deadline is not None:
             deadline.check()
-        _, i, j, l = heapq.heappop(pending)
+        _, i, j = heapq.heappop(pending)
         pending_set.discard((i, j))
         if leads[i].coprime(leads[j]):
             continue  # coprime-lead criterion
+        l = leads[i].lcm(leads[j])
         if _chain_criterion(leads, i, j, l, pending_set):
             continue
         s = s_polynomial(basis[i], basis[j], order)

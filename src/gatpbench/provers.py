@@ -52,8 +52,7 @@ class Status(enum.Enum):
 
 
 class ProverKind(enum.Enum):
-    BUILTIN_WU = "builtin-wu"
-    BUILTIN_GROEBNER = "builtin-groebner"
+    BUILTIN = "builtin"
     EXTERNAL = "external"
 
 
@@ -90,18 +89,18 @@ class ProverDescriptor:
                                  "containing {input}")
         elif self.command_template is not None:
             raise ValueError("command template is for external provers only")
+        elif self.id not in BUILTINS:
+            raise ValueError(f"unknown built-in prover {self.id!r}")
 
 
-def wu_descriptor() -> ProverDescriptor:
-    return ProverDescriptor(
-        id="wu", kind=ProverKind.BUILTIN_WU,
-        reliability=ReliabilityClass.EXTENSIVELY_TESTED)
+def builtin_descriptor(id: str) -> ProverDescriptor:
+    """The descriptor of the BUILTINS entry id."""
+    return ProverDescriptor(id=id, kind=ProverKind.BUILTIN,
+                            reliability=ReliabilityClass.EXTENSIVELY_TESTED)
 
 
-def groebner_descriptor() -> ProverDescriptor:
-    return ProverDescriptor(
-        id="gbm", kind=ProverKind.BUILTIN_GROEBNER,
-        reliability=ReliabilityClass.EXTENSIVELY_TESTED)
+wu_descriptor = functools.partial(builtin_descriptor, "wu")
+groebner_descriptor = functools.partial(builtin_descriptor, "gbm")
 
 
 def external_descriptor(id: str, command_template: str) -> ProverDescriptor:
@@ -376,6 +375,10 @@ def groebner_prove(system: PolynomialSystem,
     except TriangulateError as e:
         return run.outcome(Status.ERROR, message=str(e))
     return run.proved(ndg)
+
+
+# built-in prover functions by id, read by the CLI, descriptors and harness
+BUILTINS = {"wu": wu_prove, "gbm": groebner_prove}
 
 
 # ---------------------------------------------------------------------------

@@ -50,3 +50,14 @@ def test_terms_map_monomials_to_coefficients():
     for m, c in r.terms.items():
         assert isinstance(m, Monomial)
         assert type(c) in (int, Fraction)
+
+
+def test_every_builtin_prover_is_a_traced_harness_global():
+    # run_single calls a built-in through the harness global of its name, so
+    # a built-in that is not one, or that no site wraps, goes untraced
+    from gatpbench import harness
+    from gatpbench.provers import BUILTINS
+    sites = {(m, p) for m, p, *_ in SITES}
+    for ident, prove in BUILTINS.items():
+        assert getattr(harness, prove.__name__, None) is prove, ident
+        assert ("gatpbench.harness", prove.__name__) in sites, ident
