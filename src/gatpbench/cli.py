@@ -63,7 +63,6 @@ def resolve_timeout(flag_value: float | None) -> float:
 
 
 def _parse_external(specs) -> list:
-    import shlex
     out = []
     for spec in specs or []:
         ident, sep, template = spec.partition("=")
@@ -73,10 +72,9 @@ def _parse_external(specs) -> list:
             raise UsageError(f"--external id {ident!r} is a built-in prover "
                              "or declared twice")
         try:
-            shlex.split(template)
+            out.append(external_descriptor(ident, template))
         except ValueError as e:
             raise UsageError(f"--external {ident!r}: bad template: {e}")
-        out.append(external_descriptor(ident, template))
     return out
 
 
@@ -303,9 +301,5 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-def run() -> None:  # console-script entry point
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

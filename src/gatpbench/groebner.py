@@ -125,30 +125,34 @@ def buchberger(gens, order: TermOrder,
     returned without handling the pairs still pending.
     """
     basis = _Basis(order)
-    for f in gens:
-        f = as_polynomial(f)
-        if f.is_zero():
-            continue
-        h = normal_form(f, basis, order, deadline) if basis else f
-        if h.is_zero():
-            continue
-        if h.is_constant():
-            return [Polynomial.constant(1)]
-        basis.append(h.monic(order))
-
-    leads = [d[0] for d in basis.divisors]
+    leads: list[Monomial] = []
     # heap of (lcm degree, i, j), each pair pushed once; the lcm itself is
     # worked out again on pop, and only for pairs that pass the coprime test
     pending: list = []
+    pending_set: set = set()
 
-    def push_pairs(j: int):
-        lmj = leads[j]
+    def add(f: Polynomial) -> bool:
+        """Reduce f by the basis, keep a nonzero remainder monic and push its
+        pairs; True when f reduces to a nonzero constant."""
+        # through the module global, so that normal_form stays one call
+        # per reduction wherever it is wrapped
+        h = normal_form(f, basis, order, deadline) if basis else f
+        if h.is_zero():
+            return False
+        if h.is_constant():
+            return True
+        j = len(basis)
+        basis.append(h.monic(order))
+        lmj = basis.divisors[j][0]
+        leads.append(lmj)
         for i in range(j):
             heapq.heappush(pending, (leads[i].lcm(lmj).degree, i, j))
+            pending_set.add((i, j))
+        return False
 
-    for j in range(len(basis)):
-        push_pairs(j)
-    pending_set = {(i, j) for _, i, j in pending}
+    for f in map(as_polynomial, gens):
+        if not f.is_zero() and add(f):
+            return [Polynomial.constant(1)]
 
     while pending:
         if deadline is not None:
@@ -160,18 +164,8 @@ def buchberger(gens, order: TermOrder,
         l = leads[i].lcm(leads[j])
         if _chain_criterion(leads, i, j, l, pending_set):
             continue
-        s = s_polynomial(basis[i], basis[j], order)
-        # through the module global, so that normal_form stays one call
-        # per reduction wherever it is wrapped
-        h = normal_form(s, basis, order, deadline)
-        if h.is_zero():
-            continue
-        if h.is_constant():
+        if add(s_polynomial(basis[i], basis[j], order)):
             return [Polynomial.constant(1)]
-        basis.append(h.monic(order))
-        leads.append(basis.divisors[-1][0])
-        push_pairs(len(basis) - 1)
-        pending_set.update((i2, len(basis) - 1) for i2 in range(len(basis) - 1))
 
     return interreduce(basis, order, deadline)
 

@@ -369,24 +369,12 @@ def _add_scaled(acc: dict, terms: dict, c, mono: int) -> None:
 
 
 def _product(a: dict, b: dict) -> dict:
+    """a * b: the larger operand scaled by each term of the smaller."""
     if len(a) < len(b):
         a, b = b, a
     out: dict = {}
-    get = out.get
-    for m2, c2 in b.items():
-        for m1, c1 in a.items():
-            m = m1 + m2
-            if m & _DEGREE_GUARD:
-                _overflow()
-            v = get(m)
-            if v is None:
-                out[_new(Monomial, m)] = c1 * c2
-            else:
-                v += c1 * c2
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
+    for m, c in b.items():
+        _add_scaled(out, a, c, m)
     return out
 
 

@@ -87,6 +87,8 @@ class ProverDescriptor:
             if not self.command_template or "{input}" not in self.command_template:
                 raise ValueError("external prover needs a command template "
                                  "containing {input}")
+            import shlex
+            shlex.split(self.command_template)  # ValueError if it won't split
         elif self.command_template is not None:
             raise ValueError("command template is for external provers only")
         elif self.id not in BUILTINS:
@@ -198,16 +200,18 @@ def wu_triangulate(system: PolynomialSystem,
     depname = {v.index: v.name for v in system.dependents}
 
     pool: list[tuple] = []      # (rank key, poly), see _pool_entry
-    for h in system.hypotheses:
-        if not h.is_zero() and all(h != q for _, q in pool):
-            pool.append(_pool_entry(h, depidx, depname))
-    _check_reduced_pool(pool)
-    if not pool:
-        return []
-
-    while True:
+    chain: list[ChainMember] = []
+    new = [_pool_entry(h, depidx, depname)
+           for h in system.hypotheses if not h.is_zero()]
+    while new:
+        _check_reduced_pool(new)
+        for e in new:
+            if all(e[1] != q for _, q in pool):
+                pool.append(e)
+        # after the first round the basic set never survives unchanged: some
+        # remainder has strictly lower rank than a chain member it displaces
         deadline.check()
-        chain: list[ChainMember] = []
+        chain = []
         for (c, d, _), p in _by_rank(pool):
             if not chain or (
                     c > depidx[chain[-1].main_var]
@@ -215,20 +219,13 @@ def wu_triangulate(system: PolynomialSystem,
                             for m in chain)):
                 mv = depname[c]
                 chain.append(ChainMember(p, mv, p.leading_coeff_in(mv), d))
-        remainders: list[tuple] = []
+        new = []
         for _, p in pool:
             if not any(p is m.poly for m in chain):
                 r = _remainder(p, chain, deadline)
                 if not r.is_zero():
-                    remainders.append(_pool_entry(r, depidx, depname))
-        if not remainders:
-            return chain
-        _check_reduced_pool(remainders)
-        for e in remainders:
-            if all(e[1] != q for _, q in pool):
-                pool.append(e)
-        # the basic set never survives unchanged: some remainder has strictly
-        # lower rank than a chain member it will displace
+                    new.append(_pool_entry(r, depidx, depname))
+    return chain
 
 
 def _canonical_ndg(polys) -> tuple:

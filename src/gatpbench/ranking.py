@@ -126,11 +126,10 @@ def summarize_problem(problem_id: str, records, time_source: str = "wall"
     """
     if time_source not in ("wall", "cpu"):
         raise ValueError("time_source must be 'wall' or 'cpu'")
-    pick = (lambda r: r.wall_seconds) if time_source == "wall" \
-        else (lambda r: r.cpu_seconds)
+    attr = f"{time_source}_seconds"
     import statistics
     status = _modal_status(r.status for r in records)
-    seconds = statistics.median(pick(r) for r in records
+    seconds = statistics.median(getattr(r, attr) for r in records
                                 if r.status is status)
     return ProblemSummary(problem_id=problem_id, status=status,
                           median_seconds=seconds,
@@ -206,30 +205,34 @@ _RELIABILITY_RANK = {
 _FAR_FROM_ONE = Fraction(10) ** 9
 
 
-def _dimension_key(profile: QualityProfile, dimension: str):
-    # smaller key = better; prover_id appended by callers for ties
+def _measure(p: QualityProfile, dimension: str) -> tuple:
+    """(sort key, tsv score) of profile p along one dimension; the smaller
+    key is better, and callers append prover_id to break ties."""
     if dimension == "scope":
-        return (-profile.scope_score,)
+        return (-p.scope_score,), str(p.scope_score)
     if dimension == "efficiency":
-        median = (profile.median_proved_seconds
-                  if profile.median_proved_seconds is not None
-                  else float("inf"))
-        return (-profile.efficiency_counts[EfficiencyClass.GOOD], median)
+        good = p.efficiency_counts[EfficiencyClass.GOOD]
+        med = p.median_proved_seconds
+        if med is None:
+            return (-good, float("inf")), f"good={good},median=n/a"
+        return (-good, med), f"good={good},median={med:.6f}"
     if dimension == "readability":
         # a known factor close to 1 reads best; unknown sorts last
-        distance = (abs(profile.de_bruijn - 1)
-                    if profile.de_bruijn is not None else _FAR_FROM_ONE)
-        return (-profile.readability_level, distance)
+        db = p.de_bruijn
+        return ((-p.readability_level,
+                 _FAR_FROM_ONE if db is None else abs(db - 1)),
+                f"level={p.readability_level}"
+                + ("" if db is None else f",de_bruijn={db}"))
     if dimension == "reliability":
-        return (_RELIABILITY_RANK[profile.reliability],
-                -profile.oracle_agreement)
+        return ((_RELIABILITY_RANK[p.reliability], -p.oracle_agreement),
+                f"{p.reliability.value},agreement={p.oracle_agreement}")
     raise ValueError(f"unknown dimension {dimension!r}")
 
 
 def rank_dimension(profiles, dimension: str) -> list:
     """Prover ids ordered best-first along one dimension."""
     ordered = sorted(profiles,
-                     key=lambda p: _dimension_key(p, dimension)
+                     key=lambda p: _measure(p, dimension)[0]
                      + (p.prover_id,))
     return [p.prover_id for p in ordered]
 
@@ -351,25 +354,11 @@ class RankingReport:
         """One line per (dimension, rank, prover, score)."""
         by_id = {p.prover_id: p for p in self.profiles}
 
-        def score(prof, dim):
-            c = prof.efficiency_counts
-            med = prof.median_proved_seconds
-            if dim == "scope":
-                return str(prof.scope_score)
-            if dim == "efficiency":
-                med_s = "n/a" if med is None else f"{med:.6f}"
-                return f"good={c[EfficiencyClass.GOOD]},median={med_s}"
-            if dim == "readability":
-                db = prof.de_bruijn
-                return (f"level={prof.readability_level}" +
-                        ("" if db is None else f",de_bruijn={db}"))
-            return (f"{prof.reliability.value},"
-                    f"agreement={prof.oracle_agreement}")
-
         rows = ["dimension\trank\tprover_id\tscore"]
         for dim in DIMENSIONS:
             for pos, pid in enumerate(self.dimension_order[dim], start=1):
-                rows.append(f"{dim}\t{pos}\t{pid}\t{score(by_id[pid], dim)}")
+                rows.append(f"{dim}\t{pos}\t{pid}\t"
+                            f"{_measure(by_id[pid], dim)[1]}")
         if self.aggregate is not None:
             for pos, pid in enumerate(self.aggregate_order(), start=1):
                 rows.append(f"aggregate\t{pos}\t{pid}\t{self.aggregate[pid]}")

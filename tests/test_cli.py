@@ -240,8 +240,9 @@ class TestBenchAndRank:
         ["--provers", "ext", "--external", "ext=true {input}",
          "--external", "ext=false {input}"],
         ["--provers", "wu,x", "--external", 'x=python3 "oops {input}'],
+        ["--provers", "wu,x", "--external", "x=true"],
     ], ids=["builtin-twice", "external-shadows-builtin", "external-twice",
-            "unsplittable-template"])
+            "unsplittable-template", "template-without-input"])
     def test_colliding_prover_ids_usage_error(self, mini_corpus, tmp_path,
                                               flags):
         # two provers under one id would merge their records in the store;
@@ -258,6 +259,17 @@ class TestBenchAndRank:
               "--timeout", "20", "--out", str(store)])
         assert main(["rank", "--store", str(store), "--external",
                      "wu=false {input}"]) == 2
+
+    @pytest.mark.parametrize("spec", ['x=python3 "oops {input}', "x=true"],
+                             ids=["unsplittable-template",
+                                  "template-without-input"])
+    def test_rank_rejects_bad_external_template(self, mini_corpus, tmp_path,
+                                                spec):
+        store = tmp_path / "runs.tsv"
+        main(["bench", "--corpus", str(mini_corpus), "--provers", "wu",
+              "--timeout", "20", "--out", str(store)])
+        assert main(["rank", "--store", str(store), "--external",
+                     spec]) == 2
 
     def test_empty_store_usage_error(self, tmp_path):
         empty = tmp_path / "empty.tsv"

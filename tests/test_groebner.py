@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from gatpbench import groebner
 from gatpbench.groebner import (buchberger, divide, interreduce,
                                 is_unit_basis, normal_form, s_polynomial)
@@ -129,21 +131,23 @@ def test_interreduce_gives_the_reduced_basis():
         checked += 1
 
 
+def count_calls(monkeypatch, name):
+    """The argument tuples of every call to the groebner global name."""
+    calls = []
+    real = getattr(groebner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(groebner, name, counted)
+    return calls
+
+
 class TestUnitIdealStopsEarly:
     """buchberger returns [1] at the first nonzero constant remainder."""
 
-    def count_calls(self, monkeypatch, name):
-        calls = []
-        real = getattr(groebner, name)
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(groebner, name, counted)
-        return calls
-
     def test_unit_from_an_s_pair(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, "s_polynomial")
+        calls = count_calls(monkeypatch, "s_polynomial")
         # the first pair taken, (xy - 1, x), gives S = -1; the pair
         # (xy - 1, y + z) of the same lcm degree is never formed
         basis = buchberger([x * y - 1, x, y + z], DRL_XYZ)
@@ -151,12 +155,33 @@ class TestUnitIdealStopsEarly:
         assert len(calls) == 1
 
     def test_generator_that_reduces_to_a_constant(self, monkeypatch):
-        calls = self.count_calls(monkeypatch, "normal_form")
+        calls = count_calls(monkeypatch, "normal_form")
         basis = buchberger([x, x + 1, y ** 2 + z], DRL_XYZ)
         assert basis == [Polynomial.constant(1)]
         assert len(calls) == 1      # y^2 + z is never reduced
         assert buchberger([Polynomial.constant(3), x], LEX_XY) \
             == [Polynomial.constant(1)]
+
+
+ZERO, ONE = Polynomial.constant(0), Polynomial.constant(1)
+
+
+@pytest.mark.parametrize("gens, expected, nf_calls", [
+    ([], [], 0),
+    ([ZERO], [], 0),
+    # the zero generator is never reduced; the one call is interreduce's
+    ([x, ZERO], [x], 1),
+    # 2x reduces to zero by x; the second call is interreduce's
+    ([x, 2 * x], [x], 2),
+    # the first generator is kept unreduced, a constant one at once
+    ([Polynomial.constant(3)], [ONE], 0),
+    ([x, Polynomial.constant(5)], [ONE], 1),
+], ids=["none", "zero", "zero-skipped", "multiple-dropped", "constant",
+        "reduces-to-constant"])
+def test_generator_path(monkeypatch, gens, expected, nf_calls):
+    calls = count_calls(monkeypatch, "normal_form")
+    assert buchberger(gens, LEX_XY) == expected
+    assert len(calls) == nf_calls
 
 
 def test_divisor_records_divide_like_a_plain_list(monkeypatch):

@@ -8,8 +8,8 @@ from gatpbench.cli import build_parser, main
 from gatpbench.harness import ResultsStore, RunConfig, run_single
 from gatpbench.provers import (BUILTINS, ProofOutcome, ProverDescriptor,
                                ProverKind, ReliabilityClass, Status,
-                               builtin_descriptor, groebner_descriptor,
-                               wu_descriptor)
+                               builtin_descriptor, external_descriptor,
+                               groebner_descriptor, wu_descriptor)
 
 from test_cli import geo, mini_corpus  # noqa: F401 (a fixture)
 from test_harness import PROBLEM, small_corpus
@@ -46,6 +46,15 @@ def test_builtin_descriptor_needs_a_table_id():
     # bench would write no records
     with pytest.raises(ValueError, match="'nope'"):
         ProverDescriptor(id="nope", kind=ProverKind.BUILTIN)
+
+
+def test_external_template_must_split():
+    # a template that shlex cannot split would fail only when run_suite
+    # reaches its cells, after the cells before them had run
+    with pytest.raises(ValueError, match="No closing quotation"):
+        external_descriptor("x", "true '{input}")
+    with pytest.raises(ValueError, match="{input}"):
+        external_descriptor("x", "true")
 
 
 def test_one_table_entry_adds_a_builtin(third, mini_corpus, tmp_path,
