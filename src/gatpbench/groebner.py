@@ -1,19 +1,29 @@
 """Groebner bases over the rationals: multivariate division and Buchberger.
 
-Pair selection is by ascending lcm degree, ties in generator order; the
-coprime-lead and chain criteria prune useless S-pairs.  Buchberger stops
-at the first generator or S-polynomial that reduces to a nonzero constant
-and returns [1], the reduced basis of the unit ideal.  Any other returned
-basis is inter-reduced, monic, and sorted by descending leading monomial,
-so equal ideals with equal orders yield byte-for-byte equal bases.
-Buchberger's basis and interreduce's kept set build each element's divisor
-record (lead monomial, lead coefficient, tail) once, when the element is
-added, and every later division reads it.
+Reduction is fraction-free.  Each divisor record holds the primitive
+integer multiple of its divisor (scaling a divisor leaves a remainder as it
+is), and a division step scales the working polynomial so the leads cancel
+in integers, the Groebner analogue of Wu's pseudo-division; normal_form and
+divide still return the exact rational remainder and quotients.
+Buchberger keeps every basis element primitive over Z (positive lead)
+instead of monic, so its S-polynomials and reductions stay in ints.
+
+Pair selection is by ascending lcm degree, ties in generator order.  A pair
+whose leads are coprime is handled when it is made, never queued; the
+chain criterion prunes queued pairs.  Buchberger stops at the first
+generator or S-polynomial that reduces to a nonzero constant and returns
+[1], the reduced basis of the unit ideal.  Any other returned basis is
+inter-reduced, monic, and sorted by descending leading monomial, so equal
+ideals with equal orders yield byte-for-byte equal bases.  Buchberger's
+basis and interreduce's kept set build each element's divisor record (lead
+monomial, lead coefficient, tail) once, when the element is added, and
+every later division reads it.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 from . import polynomials
 from .budget import Deadline
@@ -37,17 +47,48 @@ def divide(f: Polynomial, basis, order: TermOrder,
     """
     if type(basis) is not _Basis:
         basis = list(basis)
+    divisors = _divisors(basis, order)
     quotients: list[dict] = [{} for _ in basis]
-    remainder = _reduce(f, _divisors(basis, order), order, deadline,
-                        quotients)
+    remainder = _reduce(f, divisors, order, deadline, quotients)
+    # _reduce divides by each record's primitive copy h_i of g_i, and
+    # g_i = (lc(g_i) / glc) * h_i, so q_i = q(h_i) * glc / lc(g_i)
+    for lm, glc, _, i in divisors:
+        lc = as_polynomial(basis[i]).terms[lm]
+        quotients[i] = {t: _quotient(b * glc, scale * lc)
+                        for t, (b, scale) in quotients[i].items()}
     return [_polynomial(q) for q in quotients], remainder
 
 
+def _integral(terms: dict) -> tuple:
+    """(d, d * terms) for the least common denominator d of the
+    coefficients, so the term map returned has int coefficients only."""
+    dens = [c.denominator for c in terms.values() if type(c) is not int]
+    if not dens:
+        return 1, dict(terms)
+    d = math.lcm(*dens)
+    return d, {m: c.numerator * (d // c.denominator)
+               for m, c in terms.items()}
+
+
+def _primitive(terms: dict, lm: Monomial) -> dict:
+    """The primitive integer multiple of a nonzero term map: int
+    coefficients with gcd 1, and a positive coefficient at lm."""
+    ints = _integral(terms)[1]
+    content = math.gcd(*ints.values())
+    if ints[lm] < 0:
+        content = -content
+    if content != 1:
+        ints = {m: c // content for m, c in ints.items()}
+    return ints
+
+
 def _divisor(g: Polynomial, order: TermOrder, i: int) -> tuple:
-    """(lead monomial, lead coefficient, tail terms, i): what dividing by
-    the i-th basis element g reads."""
+    """(lead monomial, lead coefficient, tail terms, i) of the primitive
+    integer multiple of the i-th basis element g: what dividing by g reads.
+    A remainder does not change when a divisor is scaled, so division by
+    this copy leaves the remainder of division by g."""
     lm = g.leading_monomial(order)
-    tail = dict(g.terms)
+    tail = _primitive(g.terms, lm)
     lc = tail.pop(lm)
     return lm, lc, tail, i
 
@@ -80,13 +121,23 @@ def _divisors(basis, order: TermOrder) -> list:
 
 def _reduce(f: Polynomial, divisors: list, order: TermOrder,
             deadline: Deadline | None, quotients: list | None) -> Polynomial:
-    """Division of f by the divisor records on one working term map; fills
-    quotients (one dict per basis element) when given."""
+    """Division of f by the divisor records, fraction-free, on one working
+    term map of ints.
+
+    The working map p is scale * (f - what has been divided out so far),
+    scale starting at f's common denominator.  A step by lead coefficient
+    glc with p's lead lc is p <- a*p - b*t*tail with a = glc/gcd and
+    b = lc/gcd, so the leads cancel in integers; scale grows by a.  A lead
+    no divisor reaches is a remainder term of coefficient lc / scale, the
+    exact rational that division over Q leaves.  When given, quotients
+    (one dict per basis element) get t -> (b, scale) per step: b / scale
+    times the record's primitive divisor.
+    """
     key = order.key
     # every field of these monomials is registered by now, so one read of
     # the guard bits serves the whole division (see Monomial.divides)
     g = polynomials._GUARDS
-    p = dict(f.terms)
+    scale, p = _integral(f.terms)
     remainder = {}
     while p:
         lm = max(p, key=key)
@@ -96,23 +147,43 @@ def _reduce(f: Polynomial, divisors: list, order: TermOrder,
         lm_g = lm | g
         for glm, glc, tail, i in divisors:
             if (lm_g - glm) & g == g:
+                b, r = divmod(lc, glc)
+                if r:
+                    d = math.gcd(lc, glc)
+                    a, b = glc // d, lc // d
+                    p = {m: a * c for m, c in p.items()}
+                    scale *= a
                 t = lm - glm
-                c = _quotient(lc, glc)
                 if quotients is not None:
-                    quotients[i][_new(Monomial, t)] = c
-                # lm cancels exactly; only the tail of c*t*g is left to add
-                _add_scaled(p, tail, -c, t)
+                    quotients[i][_new(Monomial, t)] = (b, scale)
+                # lm cancels exactly; only the tail of b*t*g is left to add
+                _add_scaled(p, tail, -b, t)
                 break
         else:
-            remainder[lm] = lc
+            remainder[lm] = lc if scale == 1 else _quotient(lc, scale)
     return _polynomial(remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
+    """Fraction-free S-polynomial (lc_g/d)*(l/lm_f)*f - (lc_f/d)*(l/lm_g)*g,
+    with l the lcm of the leading monomials and d the gcd of the two leading
+    coefficients when both are ints (1 otherwise).
+
+    That is lc_f*lc_g/d times the textbook (l/LT f)*f - (l/LT g)*g, a
+    nonzero rational multiple, so it is zero, reduces to zero or reduces to
+    a constant exactly when the textbook one does.  Integer inputs give
+    integer coefficients.
+    """
     lmf, lmg = f.leading_monomial(order), g.leading_monomial(order)
     l = lmf.lcm(lmg)
-    return (f.term_times(_quotient(1, f.terms[lmf]), l.divide(lmf))
-            - g.term_times(_quotient(1, g.terms[lmg]), l.divide(lmg)))
+    cf, cg = f.terms[lmf], g.terms[lmg]
+    if type(cf) is int and type(cg) is int:
+        d = math.gcd(cf, cg)
+        cf, cg = cf // d, cg // d
+    out: dict = {}
+    _add_scaled(out, f.terms, cg, l - lmf)
+    _add_scaled(out, g.terms, -cf, l - lmg)
+    return _polynomial(out)
 
 
 def buchberger(gens, order: TermOrder,
@@ -126,14 +197,14 @@ def buchberger(gens, order: TermOrder,
     """
     basis = _Basis(order)
     leads: list[Monomial] = []
-    # heap of (lcm degree, i, j), each pair pushed once; the lcm itself is
-    # worked out again on pop, and only for pairs that pass the coprime test
+    # heap of (lcm degree, i, j), each pair pushed once; a pair with
+    # coprime leads is handled when it is made and never pushed
     pending: list = []
     pending_set: set = set()
 
     def add(f: Polynomial) -> bool:
-        """Reduce f by the basis, keep a nonzero remainder monic and push its
-        pairs; True when f reduces to a nonzero constant."""
+        """Reduce f by the basis, keep a nonzero remainder's primitive part
+        and push its pairs; True when f reduces to a nonzero constant."""
         # through the module global, so that normal_form stays one call
         # per reduction wherever it is wrapped
         h = normal_form(f, basis, order, deadline) if basis else f
@@ -142,16 +213,20 @@ def buchberger(gens, order: TermOrder,
         if h.is_constant():
             return True
         j = len(basis)
-        basis.append(h.monic(order))
-        lmj = basis.divisors[j][0]
+        lmj = h.leading_monomial(order)
+        basis.append(_polynomial(_primitive(h.terms, lmj)))
+        for i, lmi in enumerate(leads):
+            # coprime leads: the S-polynomial reduces to zero, so the pair
+            # is handled as soon as it is made
+            if not lmi.coprime(lmj):
+                heapq.heappush(pending, (lmi.lcm(lmj).degree, i, j))
+                pending_set.add((i, j))
         leads.append(lmj)
-        for i in range(j):
-            heapq.heappush(pending, (leads[i].lcm(lmj).degree, i, j))
-            pending_set.add((i, j))
         return False
 
     for f in map(as_polynomial, gens):
-        if not f.is_zero() and add(f):
+        # cleared of denominators, so normal_form works in ints from here
+        if not f.is_zero() and add(_polynomial(_integral(f.terms)[1])):
             return [Polynomial.constant(1)]
 
     while pending:
@@ -159,8 +234,6 @@ def buchberger(gens, order: TermOrder,
             deadline.check()
         _, i, j = heapq.heappop(pending)
         pending_set.discard((i, j))
-        if leads[i].coprime(leads[j]):
-            continue  # coprime-lead criterion
         l = leads[i].lcm(leads[j])
         if _chain_criterion(leads, i, j, l, pending_set):
             continue
@@ -172,7 +245,8 @@ def buchberger(gens, order: TermOrder,
 
 def _chain_criterion(leads, i, j, l, pending_set) -> bool:
     # prune (i, j) when some k has lm_k | lcm(i, j) and both (i, k), (j, k)
-    # were already handled
+    # were already handled; a pair with coprime leads never enters
+    # pending_set, so it counts as handled from the moment it is made
     for k, lmk in enumerate(leads):
         if k in (i, j):
             continue

@@ -5,9 +5,10 @@ two types: an int, or a fractions.Fraction (lowest terms, positive
 denominator), which only division by a coefficient brings in.  Equal
 values of the two types print alike, compare equal and hash alike, so the
 type never shows in output.  Division always goes through Fraction, never
-through float.  Multiplication and Wu pseudo-division are division-free,
-so systems built from integer data stay in int arithmetic there; monic
-scaling and Groebner reduction make fractions.
+through float.  Multiplication, Wu pseudo-division and Groebner reduction
+(see groebner) are division-free, so systems built from integer data stay
+in int arithmetic there; monic scaling and exact rational remainders make
+fractions.
 
 A Polynomial is a map from power products (Monomial) to nonzero
 coefficients; all operations return new objects with zero terms pruned,

@@ -60,6 +60,89 @@ def test_s_polynomial_cancels_leading_terms():
     assert s == y ** 3
 
 
+LEX_XYZ = TermOrder(TermOrder.LEX, ("x", "y", "z"))
+
+
+def textbook_s_polynomial(f, g, order):
+    """(l/LT f)*f - (l/LT g)*g, l the lcm of the leading monomials."""
+    lmf, lmg = f.leading_monomial(order), g.leading_monomial(order)
+    l = lmf.lcm(lmg)
+    return (f.term_times(Fraction(1, f.terms[lmf]), l.divide(lmf))
+            - g.term_times(Fraction(1, g.terms[lmg]), l.divide(lmg)))
+
+
+def random_coefficient(rng, rational):
+    """A nonzero int in [-6, 6], or with rational a Fraction n/d."""
+    c = rng.choice([-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6])
+    return Fraction(c, rng.randint(1, 7)) if rational else c
+
+
+def random_sparse(rng, rational=False, terms=3, deg=2):
+    """A nonzero polynomial in x, y, z with non-monic leads."""
+    while True:
+        p = Polynomial([(tuple((n, rng.randint(0, deg)) for n in "xyz"),
+                         random_coefficient(rng, rational))
+                        for _ in range(rng.randint(1, terms))])
+        if not p.is_zero():
+            return p
+
+
+def test_s_polynomial_is_a_fraction_free_multiple_of_the_textbook_one():
+    """On int inputs s_polynomial has int coefficients; on any inputs it is
+    a nonzero rational multiple of the textbook S-polynomial."""
+    rng = random.Random(1988)
+    for k in range(300):
+        order = (LEX_XYZ, DRL_XYZ)[k % 2]
+        rational = k % 3 == 0
+        f = random_sparse(rng, rational)
+        g = random_sparse(rng, rational)
+        s = s_polynomial(f, g, order)
+        textbook = textbook_s_polynomial(f, g, order)
+        if not rational:
+            assert all(type(c) is int for c in s.terms.values())
+        assert s.is_zero() == textbook.is_zero()
+        if not s.is_zero():
+            ratio = Fraction(s.leading_coeff(order)) \
+                / textbook.leading_coeff(order)
+            assert s == textbook * ratio
+
+
+def test_normal_form_ignores_the_scale_of_each_divisor():
+    """Division by c_i*g_i leaves the remainder of division by g_i: the
+    divisor records keep a primitive integer copy of each divisor."""
+    rng = random.Random(2002)
+    for k in range(200):
+        order = (LEX_XYZ, DRL_XYZ)[k % 2]
+        f = random_sparse(rng, k % 3 == 0, terms=5, deg=3)
+        basis = [random_sparse(rng, k % 4 == 0)
+                 for _ in range(rng.randint(1, 3))]
+        scaled = [g * random_coefficient(rng, True) for g in basis]
+        expected = normal_form(f, basis, order)
+        assert normal_form(f, scaled, order) == expected
+        assert divide(f, scaled, order)[1] == expected
+
+
+def test_integer_division_by_unit_leads_builds_no_fraction(count_fractions):
+    """Integer f, integer divisors with leads +-1: every step divides its
+    lead exactly, so the reduction stays in ints throughout."""
+    rng = random.Random(77)
+    cases = []
+    for k in range(100):
+        order = (LEX_XYZ, DRL_XYZ)[k % 2]
+        basis = []
+        for _ in range(rng.randint(1, 3)):
+            g = random_sparse(rng)
+            terms = dict(g.terms)
+            terms[g.leading_monomial(order)] = rng.choice([-1, 1])
+            basis.append(Polynomial(terms))
+        cases.append((random_sparse(rng, terms=5, deg=3), basis, order))
+    before = len(count_fractions)
+    for f, basis, order in cases:
+        r = normal_form(f, basis, order)
+        assert all(type(c) is int for c in r.terms.values())
+    assert len(count_fractions) == before
+
+
 class TestBuchbergerCorrectness:
     def test_random_systems(self):
         """Every S-pair reduces to zero; inputs lie in the output ideal."""
@@ -95,6 +178,43 @@ class TestBuchbergerCorrectness:
         basis = buchberger([x, x + 1], LEX_XY)
         assert is_unit_basis(basis)
         assert not is_unit_basis(buchberger([x ** 2], LEX_XY))
+
+
+def reference_basis(gens, order):
+    """Buchberger with no criterion and no early stop: the textbook
+    S-polynomial of every pair is reduced (smallest lcm degree first), each
+    nonzero remainder kept monic, and the result interreduced."""
+    basis = [g.monic(order) for g in gens if not g.is_zero()]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+
+    def lcm_degree(pair):
+        i, j = pair
+        return basis[i].leading_monomial(order).lcm(
+            basis[j].leading_monomial(order)).degree
+    while pairs:
+        pairs.sort(key=lcm_degree)
+        i, j = pairs.pop(0)
+        h = normal_form(textbook_s_polynomial(basis[i], basis[j], order),
+                        basis, order)
+        if not h.is_zero():
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(h.monic(order))
+    return interreduce(basis, order)
+
+
+def test_criteria_never_change_the_ideal():
+    """buchberger's pair criteria and early stop leave the reduced basis
+    that reducing every pair gives, for int and Fraction generators."""
+    rng = random.Random(1979)
+    units = 0
+    for k in range(200):
+        order = (LEX_XYZ, DRL_XYZ)[k % 2]
+        gens = [random_sparse(rng, rational=k % 3 == 0)
+                for _ in range(rng.randint(2, 3))]
+        expected = reference_basis(gens, order)
+        assert buchberger(gens, order) == expected, gens
+        units += is_unit_basis(expected)
+    assert 0 < units < 200
 
 
 def _unreduced(basis, order, rng):
