@@ -7,17 +7,26 @@ Records live in an append-only tab-separated store, one line per run:
 
 Times carry six decimal places, started_at is ISO-8601 UTC, and the host
 fingerprint is a JSON-quoted string (it contains spaces).  Lines starting
-with '#' are headers or comments.  Apart from wall-clock readings and
-timestamps, reruns of the same configuration produce identical records.
+with '#' are headers or comments, and blank lines are skipped.  Apart from
+wall-clock readings and timestamps, reruns of the same configuration produce
+identical records.
+
+The store is outside input, so loading it checks every line: nine fields,
+a known status, integer repetition >= 1 and ndg_count >= 0, finite times
+>= 0 (no nan or inf), and a JSON string fingerprint.  A line that fails
+raises CorruptRecordError naming its line number, except a last line with
+no newline, which is an append cut short and is skipped.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 import json
+import math
 import os
-from dataclasses import dataclass, replace
+import sys
+import threading
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .algebraize import AlgebraizeError, algebraize
@@ -131,6 +140,17 @@ def _decode_host(field: str) -> str:
     return host
 
 
+# parse_record fills a record's slots through their member descriptors
+# instead of calling the frozen __init__, which sets each field through
+# object.__setattr__ from a keyword call and costs over twice as much.
+# Unpacking fails at import if RunRecord gains or loses a field.
+(_set_problem, _set_prover, _set_rep, _set_status, _set_cpu, _set_wall,
+ _set_ndg, _set_started, _set_host) = [
+    getattr(RunRecord, f.name).__set__ for f in fields(RunRecord)]
+_new_record = object.__new__
+_intern = sys.intern
+
+
 def parse_record(line: str, line_number: int = 0) -> RunRecord:
     parts = line.rstrip("\n").split("\t", 8)
     if len(parts) != 9:
@@ -147,10 +167,29 @@ def parse_record(line: str, line_number: int = 0) -> RunRecord:
         host_v = _decode_host(host)
     except ValueError as e:
         raise CorruptRecordError(line_number, str(e))
-    return RunRecord(problem_id=pid, prover_id=prover, repetition=rep_v,
-                     status=status_v, cpu_seconds=cpu_v, wall_seconds=wall_v,
-                     ndg_count=ndg_v, started_at=started,
-                     host_fingerprint=host_v)
+    if rep_v < 1:
+        raise CorruptRecordError(line_number, f"repetition {rep} is below 1")
+    if ndg_v < 0:
+        raise CorruptRecordError(line_number, f"ndg_count {ndg} is negative")
+    # a nan fails both comparisons
+    if not 0.0 <= cpu_v < math.inf:
+        raise CorruptRecordError(
+            line_number, f"cpu_seconds {cpu} is not a finite time >= 0")
+    if not 0.0 <= wall_v < math.inf:
+        raise CorruptRecordError(
+            line_number, f"wall_seconds {wall} is not a finite time >= 0")
+    r = _new_record(RunRecord)
+    # a store names a few dozen problems and provers: share their strings
+    _set_problem(r, _intern(pid))
+    _set_prover(r, _intern(prover))
+    _set_rep(r, rep_v)
+    _set_status(r, status_v)
+    _set_cpu(r, cpu_v)
+    _set_wall(r, wall_v)
+    _set_ndg(r, ndg_v)
+    _set_started(r, started)
+    _set_host(r, host_v)
+    return r
 
 
 class ResultsStore:
@@ -211,14 +250,13 @@ class ResultsStore:
         records = []
         self.torn_line = None
         with open(self.path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
+            for lineno, line in enumerate(fh, start=1):
+                if line.startswith("#") or line.isspace():
                     continue
                 try:
                     records.append(parse_record(line, lineno))
                 except CorruptRecordError:
-                    if raw.endswith("\n"):
+                    if line.endswith("\n"):
                         raise
                     self.torn_line = lineno
         return records

@@ -196,6 +196,24 @@ class TestBenchAndRank:
         assert capsys.readouterr().err == (
             "error: record line 3: expected 9 fields, got 1\n")
 
+    @pytest.mark.parametrize("field,value,reason", [
+        (5, "nan", "wall_seconds nan is not a finite time >= 0"),
+        (4, "-1.000000", "cpu_seconds -1.000000 is not a finite time >= 0"),
+        (2, "0", "repetition 0 is below 1"),
+        (6, "-2", "ndg_count -2 is negative"),
+    ])
+    def test_rank_out_of_range_field_exits_three(self, tmp_path, capsys,
+                                                 field, value, reason):
+        good = ["GEO0001", "wu", "1", "proved", "0.100000", "0.200000", "0",
+                "2026-01-01T00:00:00+00:00", '"host"']
+        bad = list(good)
+        bad[1], bad[field] = "gbm", value
+        store = tmp_path / "runs.tsv"
+        store.write_text("# header\n" + "\t".join(good) + "\n"
+                         + "\t".join(bad) + "\n")
+        assert main(["rank", "--store", str(store)]) == 3
+        assert capsys.readouterr().err == f"error: record line 3: {reason}\n"
+
     def test_external_prover_flows_through(self, mini_corpus, tmp_path,
                                            capsys):
         stub = tmp_path / "stub.sh"

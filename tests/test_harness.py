@@ -82,6 +82,16 @@ class TestRecordFormat:
                      "line 1 column 1 (char 0)"),
         (8, "123", "host fingerprint is not a string"),
         (8, '["h"]', "host fingerprint is not a string"),
+        (2, "0", "repetition 0 is below 1"),
+        (2, "-3", "repetition -3 is below 1"),
+        (6, "-1", "ndg_count -1 is negative"),
+        (4, "nan", "cpu_seconds nan is not a finite time >= 0"),
+        (4, "-0.250000", "cpu_seconds -0.250000 is not a finite time >= 0"),
+        (4, "inf", "cpu_seconds inf is not a finite time >= 0"),
+        (5, "NaN", "wall_seconds NaN is not a finite time >= 0"),
+        (5, "-inf", "wall_seconds -inf is not a finite time >= 0"),
+        (5, "1e400", "wall_seconds 1e400 is not a finite time >= 0"),
+        (5, "-0.000001", "wall_seconds -0.000001 is not a finite time >= 0"),
     ])
     def test_corrupt_field_message(self, field, value, reason):
         parts = format_record(sample_record()).split("\t")
@@ -129,34 +139,62 @@ class TestRecordFormat:
         assert store.load() == records
 
 
+def load_one(path, record):
+    path.write_text(HEADER + "\n" + format_record(record) + "\n")
+    return ResultsStore(path).load()[0]
+
+
 class TestRunRecordValue:
-    def test_fields_cannot_be_assigned(self):
-        r = sample_record()
+    @pytest.fixture
+    def make(self):
+        return sample_record
+
+    def test_fields_cannot_be_assigned(self, make):
+        r = make()
         with pytest.raises(dataclasses.FrozenInstanceError):
             r.status = Status.ERROR
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del r.problem_id
         # a name that is not a field has no slot; which error says so
         # depends on the Python version
         with pytest.raises((AttributeError, TypeError)):
             r.note = "x"
+        assert r == sample_record()
 
-    def test_no_instance_dict(self):
-        assert not hasattr(sample_record(), "__dict__")
+    def test_no_instance_dict(self, make):
+        r = make()
+        assert type(r) is RunRecord and not hasattr(r, "__dict__")
 
-    def test_hash_and_pickle(self):
-        r = sample_record(1)
-        assert hash(r) == hash(sample_record(1))
-        assert len({r, sample_record(1), sample_record(2)}) == 2
+    def test_hash_and_pickle(self, make):
+        r = make(1)
+        assert r == sample_record(1) and hash(r) == hash(sample_record(1))
+        assert len({r, sample_record(1), make(1), make(2)}) == 2
         back = pickle.loads(pickle.dumps(r))
         assert back == r and hash(back) == hash(r)
 
-    def test_replace_and_timing_free(self):
-        r = sample_record()
+    def test_replace_and_timing_free(self, make):
+        r = make()
         assert dataclasses.replace(r, repetition=4).repetition == 4
         blank = r.timing_free()
         assert (blank.cpu_seconds, blank.wall_seconds, blank.started_at) \
             == (0.0, 0.0, "")
         assert blank == dataclasses.replace(r, cpu_seconds=0.0,
                                             wall_seconds=0.0, started_at="")
+
+
+class TestParsedRecordValue(TestRunRecordValue):
+    """The same value checks on records parse_record built, which skips
+    RunRecord.__init__."""
+
+    @pytest.fixture
+    def make(self):
+        return lambda i=0: parse_record(format_record(sample_record(i)))
+
+
+class TestLoadedRecordValue(TestRunRecordValue):
+    @pytest.fixture
+    def make(self, tmp_path):
+        return lambda i=0: load_one(tmp_path / "s.tsv", sample_record(i))
 
 
 def fresh_child(code, *flags):
@@ -257,9 +295,25 @@ class TestStore:
 
     def test_comments_and_blanks_skipped_on_load(self, tmp_path):
         p = tmp_path / "s.tsv"
-        p.write_text(HEADER + "\n\n# note\n" + format_record(sample_record())
-                     + "\n")
-        assert len(ResultsStore(p).load()) == 1
+        text = (HEADER + "\n\n# note\n" + format_record(sample_record(0))
+                + "\n \t \n" + format_record(sample_record(1)) + "\n")
+        for newline in ("\n", "\r\n"):
+            p.write_bytes(text.replace("\n", newline).encode())
+            store = ResultsStore(p)
+            assert store.load() == [sample_record(0), sample_record(1)]
+            assert store.torn_line is None
+
+    def test_loaded_records_share_id_strings(self, tmp_path):
+        records = [dataclasses.replace(sample_record(i % 3),
+                                       prover_id=("wu", "gbm")[i % 2],
+                                       repetition=i + 1)
+                   for i in range(12)]
+        store = ResultsStore(tmp_path / "s.tsv")
+        store.append_many(records)
+        loaded = store.load()
+        assert loaded == records
+        assert len({id(r.problem_id) for r in loaded}) == 3
+        assert len({id(r.prover_id) for r in loaded}) == 2
 
     def test_load_reports_corrupt_line_number(self, tmp_path):
         p = tmp_path / "s.tsv"

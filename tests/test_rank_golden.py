@@ -88,3 +88,16 @@ def test_golden_rank_digest(tmp_path, capsys):
     digest = hashlib.sha256("".join(rank_outputs(store.path, capsys))
                             .encode())
     assert digest.hexdigest() == GOLDEN_RANK_DIGEST
+
+
+def test_line_order_does_not_change_the_report(tmp_path, capsys):
+    records = seeded_records()
+    reordered = list(records)
+    random.Random(7).shuffle(reordered)
+    assert reordered != records
+    outputs = []
+    for name, lines in (("first", records), ("second", reordered)):
+        store = ResultsStore(tmp_path / f"{name}.tsv")
+        store.append_many(lines)
+        outputs.append(rank_outputs(store.path, capsys))
+    assert outputs[0] == outputs[1]

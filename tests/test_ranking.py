@@ -90,6 +90,15 @@ class TestSummaries:
         assert summarize_problem("P1", rs).median_seconds == \
             pytest.approx(0.15)
 
+    def test_modal_tie_breaks_on_status_name_in_any_order(self):
+        rs = [rec(rep=1, status=Status.TIMEOUT, wall=60.0),
+              rec(rep=2, wall=1.0),
+              rec(rep=3, status=Status.TIMEOUT, wall=60.0),
+              rec(rep=4, wall=2.0)]
+        for order in (rs, rs[::-1]):
+            s = summarize_problem("P1", order)
+            assert (s.status, s.median_seconds) == (Status.PROVED, 1.5)
+
     def test_cpu_time_source(self):
         rs = [rec(wall=9.0, cpu=0.5)]
         assert summarize_problem("P1", rs, "cpu").median_seconds == 0.5
