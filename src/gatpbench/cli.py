@@ -20,13 +20,10 @@ from fractions import Fraction
 
 from .algebraize import AlgebraizeError, algebraize
 from .budget import DEFAULT_TIMEOUT_SECONDS, budget_seconds
-from .corpus import CorpusError, load_corpus
-from .problems import ParseError, parse_problem
+from .problems import parse_problem
 from .provers import (BUILTINS, Counterexample, DegenerateExhaustedError,
                       SpawnFailureError, Status, builtin_descriptor,
                       external_descriptor, numeric_check)
-from .ranking import (DIMENSIONS, NegativeWeightError, RankingError,
-                      report_from_records)
 
 EXIT_OK = 0
 EXIT_NOT_PROVED = 1
@@ -38,6 +35,22 @@ ENV_TIMEOUT = "GATPBENCH_TIMEOUT"
 
 class UsageError(Exception):
     pass
+
+
+# Only bench, rank and list read a corpus or rank records.  These two load
+# their module on first call, so `prove` (the child bench starts for every
+# external cell) and `check` never import corpus or ranking.
+
+def load_corpus(manifest_path):
+    """corpus.load_corpus, imported on first call."""
+    from .corpus import load_corpus
+    return load_corpus(manifest_path)
+
+
+def report_from_records(*args, **kwargs):
+    """ranking.report_from_records, imported on first call."""
+    from .ranking import report_from_records
+    return report_from_records(*args, **kwargs)
 
 
 def _positive_seconds(text: str) -> float:
@@ -99,6 +112,7 @@ def _parse_provers(listing: str, externals) -> list:
 
 
 def _parse_weights(text: str) -> dict:
+    from .ranking import DIMENSIONS, NegativeWeightError
     weights = {}
     for piece in filter(None, (s.strip() for s in text.split(","))):
         key, sep, value = piece.partition("=")
@@ -294,9 +308,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, CorpusError, AlgebraizeError, RankingError,
-            SpawnFailureError, DegenerateExhaustedError, OSError,
-            ValueError) as e:
+    # ValueError covers parse, corpus, ranking and corrupt-store errors
+    except (AlgebraizeError, SpawnFailureError, DegenerateExhaustedError,
+            OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -2,7 +2,8 @@
 
 Each manifest line is  id<TAB>relative-path<TAB>expected-status  where the
 status is one of proved, not-a-theorem, unknown.  Paths resolve relative to
-the manifest file.  Blank lines and '#' comments are allowed.  A bundled
+the manifest file, and the id must be the one in that file's `problem`
+header.  Blank lines and '#' comments are allowed.  A bundled
 corpus of classic theorems and deliberate non-theorems ships with the
 package.
 """
@@ -17,7 +18,7 @@ from .problems import ParseError, Problem, parse_problem
 EXPECTED_STATUSES = ("proved", "not-a-theorem", "unknown")
 
 
-class CorpusError(Exception):
+class CorpusError(ValueError):
     def __init__(self, message: str, problem_id: str | None = None,
                  line: int | None = None):
         super().__init__(message)
@@ -100,6 +101,13 @@ def load_corpus(manifest_path) -> CorpusManifest:
             problem = parse_problem(body)
         except ParseError as e:
             raise CorpusParseError(pid, str(path), e)
+        # bench stores records under the header id and rank counts coverage
+        # by the manifest id, so the two must be one id
+        if problem.id != pid:
+            raise CorpusError(
+                f"manifest line {lineno}: id {pid} names {path}, whose "
+                f"header is 'problem {problem.id}'", problem_id=pid,
+                line=lineno)
         entries.append(CorpusEntry(id=pid, path=str(path),
                                    expected_status=expected, problem=problem))
     return CorpusManifest(path=str(manifest_path), entries=tuple(entries))

@@ -20,12 +20,13 @@ eqdist A B C D, midpoint_of M A B, on_circle_of P O A.
 
 RAT is an integer or integer/integer, normalised to lowest terms.
 
-Each construct is declared once, as one frozen dataclass below whose class
-statement names its keyword, e.g. `class Midpoint(Step, keyword="midpoint")`;
+Each construct is declared once, as one class below whose class statement
+names its keyword, e.g. `class Midpoint(Step, keyword="midpoint")`;
 defining the class registers it.  Parsing, rendering, validation,
 algebraization and the sampling oracle all read that declaration and know
-no construct by name.  The dataclass fields are the arguments in text
-order (a Fraction field is a RAT, any other an IDENT).
+no construct by name.  The annotated fields are the arguments in text
+order (a Fraction field is a RAT, any other an IDENT); the shared base
+makes each construct an immutable value of them, built positionally.
 
 A predicate declares its polynomial `equations` and the `degenerate`
 reason that makes them vacuous.  A step's first field is the point it
@@ -101,22 +102,54 @@ class ValidationWarning:
 
 class _Construct:
     """Base of the declarations.  A subclass names its keyword in its class
-    statement and is registered under it in its family's table."""
+    statement and is registered under it in its family's table.
+
+    An instance is an immutable value: it is built from its fields in
+    order, equals (and hashes like) an instance of the same class with the
+    same arguments, and refuses assignment and deletion."""
 
     def __init_subclass__(cls, keyword: str | None = None, **kw):
         super().__init_subclass__(**kw)
         if keyword is None:  # a family base, Predicate or Step
             return
         cls.keyword = keyword
+        cls._fields = tuple(cls.__annotations__)
         # argument kinds in text order, read off the field annotations
         cls._form = tuple("RAT" if t in ("Fraction", Fraction) else "IDENT"
                           for t in cls.__annotations__.values())
         cls._template = keyword + " %s" * len(cls._form)
         cls._table[keyword] = cls
 
+    def __init__(self, *args):
+        if len(args) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes "
+                            f"{len(self._fields)} arguments, got {len(args)}")
+        # straight into the instance dict, past __setattr__: every parsed
+        # construct is built here, so this stays one C-level update
+        self.__dict__.update(zip(self._fields, args))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.args() == other.args()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.args())
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
     def args(self) -> tuple:
         """Arguments in text order."""
-        # a frozen dataclass's instance dict is exactly its fields, in order
+        # __init__ is the only writer of the instance dict: it holds exactly
+        # the fields, in order
         return tuple(vars(self).values())
 
     def render(self) -> str:
@@ -143,7 +176,6 @@ class Predicate(_Construct):
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Collinear(Predicate, keyword="collinear"):
     a: str
     b: str
@@ -158,7 +190,6 @@ class Collinear(Predicate, keyword="collinear"):
         return None
 
 
-@dataclass(frozen=True)
 class Parallel(Predicate, keyword="parallel"):
     a: str
     b: str
@@ -176,7 +207,6 @@ class Parallel(Predicate, keyword="parallel"):
         return None
 
 
-@dataclass(frozen=True)
 class Perpendicular(Predicate, keyword="perpendicular"):
     a: str
     b: str
@@ -192,7 +222,6 @@ class Perpendicular(Predicate, keyword="perpendicular"):
         return None
 
 
-@dataclass(frozen=True)
 class EqDist(Predicate, keyword="eqdist"):
     a: str
     b: str
@@ -210,7 +239,6 @@ class EqDist(Predicate, keyword="eqdist"):
         return None
 
 
-@dataclass(frozen=True)
 class MidpointOf(Predicate, keyword="midpoint_of"):
     m: str
     a: str
@@ -226,7 +254,6 @@ class MidpointOf(Predicate, keyword="midpoint_of"):
         return None
 
 
-@dataclass(frozen=True)
 class OnCircleOf(Predicate, keyword="on_circle_of"):
     p: str
     center: str
@@ -288,7 +315,6 @@ class Step(_Construct):
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Free(Step, keyword="free"):
     point: str
     roles = (PARAM, PARAM)
@@ -297,7 +323,6 @@ class Free(Step, keyword="free"):
         return draw(), draw(), 1
 
 
-@dataclass(frozen=True)
 class Fixed(Step, keyword="fixed"):
     point: str
     x: Fraction
@@ -311,7 +336,6 @@ class Fixed(Step, keyword="fixed"):
                            x.denominator * y.denominator)
 
 
-@dataclass(frozen=True)
 class Midpoint(Step, keyword="midpoint"):
     point: str
     a: str
@@ -325,7 +349,6 @@ class Midpoint(Step, keyword="midpoint"):
         return homogeneous(xa * wb + xb * wa, ya * wb + yb * wa, 2 * wa * wb)
 
 
-@dataclass(frozen=True)
 class OnLine(Step, keyword="on_line"):
     point: str
     a: str
@@ -358,7 +381,6 @@ def _line(xa, ya, wa, xb, yb, wb) -> tuple:
     return ya * wb - wa * yb, wa * xb - xa * wb, xa * yb - ya * xb
 
 
-@dataclass(frozen=True)
 class InterLL(Step, keyword="inter"):
     point: str
     a: str
@@ -393,7 +415,6 @@ class InterLL(Step, keyword="inter"):
         return homogeneous(b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, w)
 
 
-@dataclass(frozen=True)
 class Foot(Step, keyword="foot"):
     point: str
     src: str
@@ -427,7 +448,6 @@ class Foot(Step, keyword="foot"):
         return homogeneous(xa * w + t * dx, ya * w + t * dy, wa * w)
 
 
-@dataclass(frozen=True)
 class OnCircle(Step, keyword="on_circle"):
     point: str
     center: str
@@ -456,7 +476,6 @@ class OnCircle(Step, keyword="on_circle"):
                            yo * wa * den + s * vx + c * vy, wo * wa * den)
 
 
-@dataclass(frozen=True)
 class Circumcenter(Step, keyword="circumcenter"):
     point: str
     a: str

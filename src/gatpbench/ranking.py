@@ -27,7 +27,7 @@ FAIR_THRESHOLD_SECONDS = 3.0
 DIMENSIONS = ("scope", "efficiency", "readability", "reliability")
 
 
-class RankingError(Exception):
+class RankingError(ValueError):
     pass
 
 

@@ -289,6 +289,54 @@ class TestBenchAndRank:
         assert main(["rank", "--store", str(store), "--external",
                      spec]) == 2
 
+    def test_bench_missing_manifest_exits_three(self, tmp_path, capsys):
+        store = tmp_path / "runs.tsv"
+        assert main(["bench", "--corpus", "/no/manifest.tsv", "--provers",
+                     "wu", "--out", str(store)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: cannot read manifest: ")
+        assert not store.exists()
+
+    def test_manifest_id_unlike_header_exits_three(self, mini_corpus,
+                                                   tmp_path, capsys):
+        # bench would store GEO0001's records, which rank would not count
+        # for X1: X1 would read undecided although it was proved
+        store = tmp_path / "runs.tsv"
+        main(["bench", "--corpus", str(mini_corpus), "--provers", "wu",
+              "--timeout", "20", "--out", str(store)])
+        renamed = tmp_path / "renamed.tsv"
+        renamed.write_text("X1\tGEO0001.geo\tproved\n"
+                           "NOT0001\tNOT0001.geo\tnot-a-theorem\n")
+        capsys.readouterr()
+        for argv in (["list", "--corpus", str(renamed)],
+                     ["bench", "--corpus", str(renamed), "--provers", "wu",
+                      "--out", str(tmp_path / "other.tsv")],
+                     ["rank", "--store", str(store), "--corpus",
+                      str(renamed)]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: manifest line 1: id X1 names ")
+            assert err.endswith("whose header is 'problem GEO0001'\n")
+        assert not (tmp_path / "other.tsv").exists()
+
+    def test_ranking_error_exits_three(self, mini_corpus, tmp_path, capsys,
+                                       monkeypatch):
+        from gatpbench import ranking
+        store = tmp_path / "runs.tsv"
+        main(["bench", "--corpus", str(mini_corpus), "--provers", "wu",
+              "--timeout", "20", "--out", str(store)])
+
+        def missing(records, descriptors, *args, **kwargs):
+            raise ranking.MissingRecordsError(descriptors[0].id)
+
+        # rank resolves report_from_records in ranking when it is called
+        monkeypatch.setattr(ranking, "report_from_records", missing)
+        capsys.readouterr()
+        assert main(["rank", "--store", str(store)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no records for prover 'wu'\n"
+
     def test_empty_store_usage_error(self, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("")

@@ -11,8 +11,6 @@ constructor.
 
 import hashlib
 import random
-from dataclasses import fields
-from fractions import Fraction
 
 import pytest
 
@@ -167,14 +165,14 @@ BASE = "problem k\nfree A\nfree B\nfree C\nfree D\n"
 
 def _step_text(cls):
     points, rationals = iter("ABCD"), iter(["1/2", "-3"])
-    args = [next(rationals) if f.type in ("Fraction", Fraction)
-            else next(points) for f in fields(cls)[1:]]
+    args = [next(rationals) if kind == "RAT" else next(points)
+            for kind in cls._form[1:]]
     return (BASE + " ".join([cls.keyword, "P", *args])
             + "\nconjecture collinear P A B\n")
 
 
 def _predicate_text(cls):
-    args = "ABCD"[:len(fields(cls))]
+    args = "ABCD"[:len(cls._form)]
     return BASE + " ".join(["conjecture", cls.keyword, *args]) + "\n"
 
 

@@ -2,9 +2,9 @@
 
 import pytest
 
-from gatpbench.corpus import (CorpusParseError, DuplicateIdError,
-                              MissingFileError, bundled_manifest_path,
-                              corpus_hash, load_corpus)
+from gatpbench.corpus import (CorpusError, CorpusParseError,
+                              DuplicateIdError, MissingFileError,
+                              bundled_manifest_path, corpus_hash, load_corpus)
 from gatpbench.problems import validate_problem
 
 GOOD = ("problem {pid}\nfree A\nfree B\nmidpoint M A B\n"
@@ -60,6 +60,21 @@ def test_duplicate_id_rejected(tmp_path):
                      ["A"])
     with pytest.raises(DuplicateIdError):
         load_corpus(m)
+
+
+@pytest.mark.parametrize("rows,line,pid,header", [
+    (["X1\tA.geo\tproved", "B\tB.geo\tproved"], 1, "X1", "A"),
+    (["A\tA.geo\tproved", "B\tA.geo\tproved"], 2, "B", "A"),
+], ids=["renamed", "same-file-twice"])
+def test_manifest_id_must_be_the_header_id(tmp_path, rows, line, pid,
+                                            header):
+    # bench would store the header id's records, rank count the manifest's
+    m = write_corpus(tmp_path, rows, ["A", "B"])
+    with pytest.raises(CorpusError) as info:
+        load_corpus(m)
+    assert (info.value.line, info.value.problem_id) == (line, pid)
+    assert str(info.value).startswith(f"manifest line {line}: id {pid} ")
+    assert str(info.value).endswith(f"whose header is 'problem {header}'")
 
 
 def test_bad_status_rejected(tmp_path):

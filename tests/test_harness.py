@@ -222,8 +222,9 @@ def test_import_loads_only_the_modules_it_uses():
                           "gatpbench.problems"]
     assert fresh_child(
         "import sys, gatpbench.cli; "
-        "print(*(m for m in ('gatpbench.harness', 'platform', 'subprocess', "
-        "'hashlib', 'statistics', 'datetime') if m in sys.modules))",
+        "print(*(m for m in ('gatpbench.harness', 'gatpbench.corpus', "
+        "'gatpbench.ranking', 'platform', 'subprocess', 'hashlib', "
+        "'statistics', 'datetime') if m in sys.modules))",
         "-S") == ""
 
 

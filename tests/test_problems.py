@@ -1,11 +1,13 @@
 """Problem DSL: parsing, rendering, validation."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from gatpbench.problems import (BadArityError, DuplicatePointError, Fixed,
-                                Free, Midpoint, ParseError, ProblemSyntaxError,
+from gatpbench.problems import (PREDICATES, STEPS, BadArityError, Collinear,
+                                DuplicatePointError, Fixed, Free, Midpoint,
+                                MidpointOf, ParseError, ProblemSyntaxError,
                                 UndefinedPointError, parse_problem,
                                 render_problem, validate_problem)
 
@@ -125,3 +127,48 @@ class TestValidation:
                 "conjecture parallel A B A B\n")
         p = parse_problem(text)
         assert validate_problem(p) == validate_problem(parse_problem(text))
+
+
+class TestConstructValues:
+    """A construct is an immutable value of its class and arguments."""
+
+    def test_equality_needs_the_same_class(self):
+        assert Collinear("A", "B", "C") == Collinear("A", "B", "C")
+        assert Collinear("A", "B", "C") != Collinear("A", "C", "B")
+        assert Collinear("A", "B", "C") != MidpointOf("A", "B", "C")
+        assert Collinear("A", "B", "C") != ("A", "B", "C")
+
+    def test_equal_constructs_hash_equal(self):
+        one = Fixed("P", Fraction(1, 2), Fraction(-3))
+        other = parse_problem("problem h\nfixed P 2/4 -3\n"
+                              "conjecture collinear P P P\n").steps[0]
+        assert one is not other and one == other
+        assert hash(one) == hash(other)
+        assert len({one, other, Free("P")}) == 2
+
+    @pytest.mark.parametrize("change", [
+        lambda c: setattr(c, "a", "Z"),
+        lambda c: setattr(c, "extra", 1),
+        lambda c: delattr(c, "a"),
+    ], ids=["assign", "add", "delete"])
+    def test_fields_cannot_change(self, change):
+        c = Collinear("A", "B", "C")
+        with pytest.raises(AttributeError):
+            change(c)
+        assert c.args() == ("A", "B", "C")
+
+    @pytest.mark.parametrize("args", [(), ("A", "B"), ("A", "B", "C", "D")])
+    def test_wrong_arity_raises_type_error(self, args):
+        with pytest.raises(TypeError):
+            Collinear(*args)
+
+    def test_repr_keeps_the_dataclass_form(self):
+        assert repr(Midpoint("M", "A", "B")) == (
+            "Midpoint(point='M', a='A', b='B')")
+        assert repr(Fixed("P", Fraction(1, 2), Fraction(-3))) == (
+            "Fixed(point='P', x=Fraction(1, 2), y=Fraction(-3, 1))")
+
+    def test_no_construct_is_a_dataclass(self):
+        # importing problems runs no dataclass code generation per construct
+        for cls in [*STEPS.values(), *PREDICATES.values()]:
+            assert not dataclasses.is_dataclass(cls), cls.__name__
