@@ -14,10 +14,8 @@ the system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import problems as pr
-from .problems import DEPENDENT, PARAM
+from .problems import DEPENDENT, PARAM, Record
 from .polynomials import Polynomial, as_polynomial
 
 
@@ -29,8 +27,7 @@ class DegenerateConstructionError(AlgebraizeError):
     """A step's equations do not constrain the point it introduces."""
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(Record):
     name: str        # "u3" or "x5"
     kind: str        # PARAM or DEPENDENT
     index: int       # 1-based within its kind, dense in construction order
@@ -38,8 +35,7 @@ class Variable:
     axis: str        # "x" or "y"
 
 
-@dataclass(frozen=True)
-class PolynomialSystem:
+class PolynomialSystem(Record):
     hypotheses: tuple
     conclusions: tuple
     params: tuple

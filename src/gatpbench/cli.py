@@ -87,7 +87,7 @@ def _parse_external(specs) -> list:
         try:
             out.append(external_descriptor(ident, template))
         except ValueError as e:
-            raise UsageError(f"--external {ident!r}: bad template: {e}")
+            raise UsageError(f"--external {spec!r}: {e}")
     return out
 
 

@@ -10,10 +10,9 @@ package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
-from .problems import ParseError, Problem, parse_problem
+from .problems import ParseError, Problem, Record, parse_problem
 
 EXPECTED_STATUSES = ("proved", "not-a-theorem", "unknown")
 
@@ -44,16 +43,14 @@ class CorpusParseError(CorpusError):
         self.error = error
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Record):
     id: str
     path: str
     expected_status: str
     problem: Problem
 
 
-@dataclass(frozen=True)
-class CorpusManifest:
+class CorpusManifest(Record):
     path: str
     entries: tuple
 

@@ -32,7 +32,7 @@ from pathlib import Path
 from .algebraize import AlgebraizeError, algebraize
 from .budget import DEFAULT_TIMEOUT_SECONDS, budget_seconds
 from .corpus import CorpusManifest
-from .problems import Problem, render_problem
+from .problems import Problem, Record, render_problem
 from .provers import (BUILTINS, ProofOutcome, ProverDescriptor, ProverKind,
                       SpawnFailureError, Status, external_prove,
                       groebner_prove, kill_external_provers, wu_prove)
@@ -47,8 +47,7 @@ class CorruptRecordError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     provers: tuple
     corpus: CorpusManifest
     timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS

@@ -25,8 +25,8 @@ names its keyword, e.g. `class Midpoint(Step, keyword="midpoint")`;
 defining the class registers it.  Parsing, rendering, validation,
 algebraization and the sampling oracle all read that declaration and know
 no construct by name.  The annotated fields are the arguments in text
-order (a Fraction field is a RAT, any other an IDENT); the shared base
-makes each construct an immutable value of them, built positionally.
+order (a Fraction field is a RAT, any other an IDENT); `Record`, the base
+of every record but the store row, makes each construct an immutable value.
 
 A predicate declares its polynomial `equations` and the `degenerate`
 reason that makes them vacuous.  A step's first field is the point it
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 # coordinate roles of a step's new point
@@ -93,50 +92,46 @@ class BadArityError(ParseError):
         self.keyword = keyword
 
 
-@dataclass(frozen=True)
-class ValidationWarning:
-    kind: str          # "degenerate-predicate" | "degenerate-step" | "unused-point"
-    subject: str
-    detail: str
+class Record:
+    """Base of the immutable value records: a subclass's annotated names are
+    its fields, in order, and a class-body value is a default.  An instance
+    is built by position or keyword, equals and hashes by class and fields,
+    refuses assignment and deletion, and is checked by __post_init__."""
 
-
-class _Construct:
-    """Base of the declarations.  A subclass names its keyword in its class
-    statement and is registered under it in its family's table.
-
-    An instance is an immutable value: it is built from its fields in
-    order, equals (and hashes like) an instance of the same class with the
-    same arguments, and refuses assignment and deletion."""
-
-    def __init_subclass__(cls, keyword: str | None = None, **kw):
-        super().__init_subclass__(**kw)
-        if keyword is None:  # a family base, Predicate or Step
-            return
-        cls.keyword = keyword
+    def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
-        # argument kinds in text order, read off the field annotations
-        cls._form = tuple("RAT" if t in ("Fraction", Fraction) else "IDENT"
-                          for t in cls.__annotations__.values())
-        cls._template = keyword + " %s" * len(cls._form)
-        cls._table[keyword] = cls
 
-    def __init__(self, *args):
-        if len(args) != len(self._fields):
-            raise TypeError(f"{type(self).__name__} takes "
-                            f"{len(self._fields)} arguments, got {len(args)}")
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
         # straight into the instance dict, past __setattr__: every parsed
         # construct is built here, so this stays one C-level update
         self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def _bind(self, args, kwargs) -> list:
+        """The field values of a call that names or leaves out fields."""
+        try:
+            rest = [kwargs.pop(f) if f in kwargs else vars(type(self))[f]
+                    for f in self._fields[len(args):]]
+        except KeyError as e:
+            raise TypeError(f"{type(self).__name__} is missing {e}") from None
+        if kwargs or len(args) > len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {self._fields}: "
+                            f"{len(args)} positional, {sorted(kwargs)} unused")
+        return [*args, *rest]
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    def __post_init__(self):
+        """Check the fields; the base accepts any."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.args() == other.args()
+            return vars(self) == vars(other)
         return NotImplemented
 
     def __hash__(self):
@@ -147,10 +142,31 @@ class _Construct:
         return f"{type(self).__qualname__}({fields})"
 
     def args(self) -> tuple:
-        """Arguments in text order."""
-        # __init__ is the only writer of the instance dict: it holds exactly
-        # the fields, in order
+        """The fields' values in order (__init__ is the only writer of the
+        instance dict, so it holds exactly the fields, in order)."""
         return tuple(vars(self).values())
+
+
+class ValidationWarning(Record):
+    kind: str          # "degenerate-predicate" | "degenerate-step" | "unused-point"
+    subject: str
+    detail: str
+
+
+class _Construct(Record):
+    """Base of the declarations.  A subclass names its keyword in its class
+    statement and is registered under it in its family's table."""
+
+    def __init_subclass__(cls, keyword: str | None = None, **kw):
+        super().__init_subclass__(**kw)
+        if keyword is None:  # a family base, Predicate or Step
+            return
+        cls.keyword = keyword
+        # argument kinds in text order, read off the field annotations
+        cls._form = tuple("RAT" if t in ("Fraction", Fraction) else "IDENT"
+                          for t in cls.__annotations__.values())
+        cls._template = keyword + " %s" * len(cls._form)
+        cls._table[keyword] = cls
 
     def render(self) -> str:
         return self._template % self.args()
@@ -513,8 +529,7 @@ class Circumcenter(Step, keyword="circumcenter"):
                            ya * w + bx * c2 - cx * b2, wa * w)
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Record):
     id: str
     steps: tuple
     conjectures: tuple

@@ -31,7 +31,6 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -62,8 +61,7 @@ class ReliabilityClass(enum.Enum):
     UNVERIFIED = "unverified"
 
 
-@dataclass(frozen=True)
-class ProofOutcome:
+class ProofOutcome(pr.Record):
     status: Status
     ndg_conditions: tuple = ()
     trace: str | None = None
@@ -72,8 +70,7 @@ class ProofOutcome:
     message: str = ""
 
 
-@dataclass(frozen=True)
-class ProverDescriptor:
+class ProverDescriptor(pr.Record):
     id: str
     kind: ProverKind
     readability_level: int = 1
@@ -81,6 +78,9 @@ class ProverDescriptor:
     command_template: str | None = None
 
     def __post_init__(self):
+        # the id is a store field and a --provers list item
+        if "," in self.id or self.id.split() != [self.id]:
+            raise ValueError(f"bad prover id {self.id!r} (one word, no comma)")
         if not 1 <= self.readability_level <= 5:
             raise ValueError("readability_level must be in 1..5")
         if self.kind is ProverKind.EXTERNAL:
@@ -127,8 +127,7 @@ class ParameterConstraintError(TriangulateError):
     """Reduction produced a nonzero polynomial in parameters only."""
 
 
-@dataclass(frozen=True)
-class ChainMember:
+class ChainMember(pr.Record):
     poly: Polynomial
     main_var: str
     initial: Polynomial
@@ -389,13 +388,11 @@ class DegenerateExhaustedError(Exception):
     """Every retry drew a degenerate configuration."""
 
 
-@dataclass(frozen=True)
-class Consistent:
+class Consistent(pr.Record):
     samples: int
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(pr.Record):
     model: dict                 # point -> (Fraction, Fraction)
     env: dict                   # variable name -> Fraction
     conclusion_index: int

@@ -15,10 +15,10 @@ from: rendering the same inputs twice gives byte-identical text.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .corpus import CorpusManifest, corpus_hash
+from .problems import Record
 from .provers import Counterexample, ProverDescriptor, ReliabilityClass, Status
 
 GOOD_THRESHOLD_SECONDS = 1.5
@@ -94,16 +94,14 @@ def _modal_status(statuses) -> Status:
     return Status(min(counts, key=lambda v: (-counts[v], v)))
 
 
-@dataclass(frozen=True)
-class ProblemSummary:
+class ProblemSummary(Record):
     problem_id: str
     status: Status
     median_seconds: float
     efficiency: EfficiencyClass
 
 
-@dataclass(frozen=True)
-class QualityProfile:
+class QualityProfile(Record):
     prover_id: str
     scope_score: Fraction
     proved_count: int
@@ -131,9 +129,9 @@ def summarize_problem(problem_id: str, records, time_source: str = "wall"
     status = _modal_status(r.status for r in records)
     seconds = statistics.median(getattr(r, attr) for r in records
                                 if r.status is status)
-    return ProblemSummary(problem_id=problem_id, status=status,
-                          median_seconds=seconds,
-                          efficiency=classify_time(seconds, status))
+    # positional, the cheaper call: rank makes one per (problem, prover)
+    return ProblemSummary(problem_id, status, seconds,
+                          classify_time(seconds, status))
 
 
 def build_quality_profile(records, descriptor: ProverDescriptor,
@@ -270,8 +268,7 @@ def aggregate_scores(profiles, weights: dict) -> dict:
     return scores
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(Record):
     record_count: int
     time_source: str
     hosts: tuple
@@ -286,8 +283,7 @@ def build_provenance(records, corpus: CorpusManifest | None = None,
         corpus_digest=corpus_hash(corpus) if corpus is not None else None)
 
 
-@dataclass(frozen=True)
-class RankingReport:
+class RankingReport(Record):
     profiles: tuple
     dimension_order: dict
     weights: dict | None

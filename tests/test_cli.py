@@ -259,12 +259,20 @@ class TestBenchAndRank:
          "--external", "ext=false {input}"],
         ["--provers", "wu,x", "--external", 'x=python3 "oops {input}'],
         ["--provers", "wu,x", "--external", "x=true"],
+        ["--provers", "wu", "--external", "a\tb=true {input}"],
+        ["--provers", "wu", "--external", "a b=true {input}"],
+        ["--provers", "wu", "--external", "a\nb=true {input}"],
+        ["--provers", "wu", "--external", "a\rb=true {input}"],
+        ["--provers", "wu", "--external", "a,b=true {input}"],
     ], ids=["builtin-twice", "external-shadows-builtin", "external-twice",
-            "unsplittable-template", "template-without-input"])
+            "unsplittable-template", "template-without-input", "tab-in-id",
+            "space-in-id", "lf-in-id", "cr-in-id", "comma-in-id"])
     def test_colliding_prover_ids_usage_error(self, mini_corpus, tmp_path,
                                               flags):
-        # two provers under one id would merge their records in the store;
-        # each bad prover list is rejected before any cell runs
+        # two provers under one id would merge their records in the store,
+        # and an id with whitespace or a comma would split a store line or
+        # the --provers list; each bad prover list is rejected before any
+        # cell runs
         store = tmp_path / "r.tsv"
         assert main(["bench", "--corpus", str(mini_corpus), *flags,
                      "--timeout", "10", "--out", str(store)]) == 2
@@ -278,9 +286,10 @@ class TestBenchAndRank:
         assert main(["rank", "--store", str(store), "--external",
                      "wu=false {input}"]) == 2
 
-    @pytest.mark.parametrize("spec", ['x=python3 "oops {input}', "x=true"],
+    @pytest.mark.parametrize("spec", ['x=python3 "oops {input}', "x=true",
+                                      "a\tb=true {input}"],
                              ids=["unsplittable-template",
-                                  "template-without-input"])
+                                  "template-without-input", "tab-in-id"])
     def test_rank_rejects_bad_external_template(self, mini_corpus, tmp_path,
                                                 spec):
         store = tmp_path / "runs.tsv"

@@ -226,6 +226,14 @@ def test_import_loads_only_the_modules_it_uses():
         "'gatpbench.ranking', 'platform', 'subprocess', 'hashlib', "
         "'statistics', 'datetime') if m in sys.modules))",
         "-S") == ""
+    # records are built by problems.Record: only harness loads dataclasses
+    for code in ["import gatpbench",
+                 "import gatpbench as g; "
+                 "g.load_corpus(g.bundled_manifest_path())",
+                 "import gatpbench.cli"]:
+        assert fresh_child(
+            f"import sys; {code}; print(*(m for m in ('dataclasses', "
+            "'inspect') if m in sys.modules))", "-S") == "", code
 
 
 PUBLIC_NAMES = [

@@ -1,15 +1,28 @@
 """Problem DSL: parsing, rendering, validation."""
 
+import copy
 import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
 
+from gatpbench.algebraize import PolynomialSystem, Variable
+from gatpbench.corpus import CorpusEntry, CorpusManifest
+from gatpbench.harness import RunConfig
+from gatpbench.polynomials import var
 from gatpbench.problems import (PREDICATES, STEPS, BadArityError, Collinear,
                                 DuplicatePointError, Fixed, Free, Midpoint,
-                                MidpointOf, ParseError, ProblemSyntaxError,
-                                UndefinedPointError, parse_problem,
-                                render_problem, validate_problem)
+                                MidpointOf, ParseError, Problem,
+                                ProblemSyntaxError, Record,
+                                UndefinedPointError, ValidationWarning,
+                                parse_problem, render_problem,
+                                validate_problem)
+from gatpbench.provers import (ChainMember, Consistent, Counterexample,
+                               ProofOutcome, ProverDescriptor, ProverKind,
+                               Status)
+from gatpbench.ranking import (EfficiencyClass, ProblemSummary, Provenance,
+                               QualityProfile, RankingReport)
 
 MIDLINE = """\
 problem demo
@@ -172,3 +185,113 @@ class TestConstructValues:
         # importing problems runs no dataclass code generation per construct
         for cls in [*STEPS.values(), *PREDICATES.values()]:
             assert not dataclasses.is_dataclass(cls), cls.__name__
+
+
+# one sample of each record class but the constructs, built from its
+# required fields only, and its repr as a frozen dataclass printed it
+PROBLEM = Problem("p", (Free("A"),), (Collinear("A", "A", "A"),))
+PROBLEM_REPR = ("Problem(id='p', steps=(Free(point='A'),), "
+                "conjectures=(Collinear(a='A', b='A', c='A'),), meta=None)")
+ENTRY = CorpusEntry("p", "p.geo", "proved", PROBLEM)
+ENTRY_REPR = ("CorpusEntry(id='p', path='p.geo', expected_status='proved', "
+              f"problem={PROBLEM_REPR})")
+MANIFEST = CorpusManifest("m.tsv", (ENTRY,))
+MANIFEST_REPR = f"CorpusManifest(path='m.tsv', entries=({ENTRY_REPR},))"
+WU = ProverDescriptor("wu", ProverKind.BUILTIN)
+WU_REPR = ("ProverDescriptor(id='wu', kind=<ProverKind.BUILTIN: 'builtin'>, "
+           "readability_level=1, reliability=<ReliabilityClass.UNVERIFIED: "
+           "'unverified'>, command_template=None)")
+UNVERIFIED = WU.reliability
+
+RECORDS = [
+    (ValidationWarning, ("unused-point", "A", "never referenced"),
+     "ValidationWarning(kind='unused-point', subject='A', "
+     "detail='never referenced')"),
+    (Problem, ("p", (Free("A"),), (Collinear("A", "A", "A"),)), PROBLEM_REPR),
+    (Variable, ("u1", "param", 1, "A", "x"),
+     "Variable(name='u1', kind='param', index=1, point='A', axis='x')"),
+    (PolynomialSystem, ((), (), (), (), (), {"A": (0, 0)}, PROBLEM),
+     "PolynomialSystem(hypotheses=(), conclusions=(), params=(), "
+     "dependents=(), ndg_hints=(), assignment={'A': (0, 0)}, "
+     f"problem={PROBLEM_REPR})"),
+    (ProofOutcome, (Status.PROVED,),
+     "ProofOutcome(status=<Status.PROVED: 'proved'>, ndg_conditions=(), "
+     "trace=None, cpu_seconds=0.0, wall_seconds=0.0, message='')"),
+    (ProverDescriptor, ("wu", ProverKind.BUILTIN), WU_REPR),
+    (ChainMember, (var("x1") ** 2 - var("u1"), "x1", var("u1") ** 0, 2),
+     "ChainMember(poly=Polynomial(1*x1^2 + -1*u1), main_var='x1', "
+     "initial=Polynomial(1), degree=2)"),
+    (Consistent, (3,), "Consistent(samples=3)"),
+    (Counterexample, ({"A": (Fraction(0), Fraction(1, 2))},
+                      {"u1": Fraction(1, 2)}, 0, Fraction(3)),
+     "Counterexample(model={'A': (Fraction(0, 1), Fraction(1, 2))}, "
+     "env={'u1': Fraction(1, 2)}, conclusion_index=0, "
+     "value=Fraction(3, 1))"),
+    (CorpusEntry, ("p", "p.geo", "proved", PROBLEM), ENTRY_REPR),
+    (CorpusManifest, ("m.tsv", (ENTRY,)), MANIFEST_REPR),
+    (RunConfig, ((WU,), MANIFEST),
+     f"RunConfig(provers=({WU_REPR},), corpus={MANIFEST_REPR}, "
+     "timeout_seconds=60.0, repetitions=1, parallelism=1)"),
+    (ProblemSummary, ("p", Status.PROVED, 0.5, EfficiencyClass.GOOD),
+     "ProblemSummary(problem_id='p', status=<Status.PROVED: 'proved'>, "
+     "median_seconds=0.5, efficiency=<EfficiencyClass.GOOD: 'good'>)"),
+    (QualityProfile, ("wu", Fraction(1), 1, 1, {"good": 1}, 0.5, 1,
+                      UNVERIFIED, Fraction(1), None, ()),
+     "QualityProfile(prover_id='wu', scope_score=Fraction(1, 1), "
+     "proved_count=1, considered_count=1, efficiency_counts={'good': 1}, "
+     "median_proved_seconds=0.5, readability_level=1, "
+     "reliability=<ReliabilityClass.UNVERIFIED: 'unverified'>, "
+     "oracle_agreement=Fraction(1, 1), de_bruijn=None, problems=())"),
+    (Provenance, (1, "wall", ("h",), None),
+     "Provenance(record_count=1, time_source='wall', hosts=('h',), "
+     "corpus_digest=None)"),
+    (RankingReport, ((), {"scope": ("wu",)}, None, None, None),
+     "RankingReport(profiles=(), dimension_order={'scope': ('wu',)}, "
+     "weights=None, aggregate=None, provenance=None)"),
+]
+
+
+@pytest.mark.parametrize("cls, args, text", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_record_is_an_immutable_value(cls, args, text):
+    """Every record but the store row is a Record that behaves as the
+    frozen dataclass it replaced."""
+    assert not dataclasses.is_dataclass(cls)
+    record = cls(*args)
+    assert repr(record) == text
+    fields = vars(record)
+    assert cls(**fields) == record == cls(*fields.values())
+    first = next(iter(fields))
+    assert cls(args[0], **dict(list(fields.items())[1:])) == record
+    for bad in [lambda: cls(*args[:-1]), lambda: cls(*args, bogus=1),
+                lambda: cls(*fields.values(), None),
+                lambda: cls(*args, **{first: args[0]})]:
+        with pytest.raises(TypeError):
+            bad()
+    twin = type(cls.__name__, (Record,),
+                {"__annotations__": dict.fromkeys(fields, "object")})
+    assert record != twin(*fields.values())
+    assert twin(*fields.values()) != record
+    for back in [pickle.loads(pickle.dumps(record)), copy.copy(record),
+                 copy.deepcopy(record)]:
+        assert type(back) is cls and back == record and repr(back) == text
+    if any(isinstance(v, dict) for v in fields.values()):
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(copy.deepcopy(record)) == hash(record)
+    for change in [lambda: setattr(record, first, args[0]),
+                   lambda: delattr(record, first)]:
+        with pytest.raises(AttributeError):
+            change()
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Problem("p", (Free("A"),), ()),
+    lambda: ProverDescriptor("wu", ProverKind.BUILTIN, readability_level=6),
+    lambda: RunConfig((WU, WU), MANIFEST),
+], ids=["problem-without-conjectures", "readability-6", "duplicate-prover"])
+def test_record_validators_still_raise(make):
+    with pytest.raises(ValueError):
+        make()
