@@ -196,7 +196,6 @@ def buchberger(gens, order: TermOrder,
     returned without handling the pairs still pending.
     """
     basis = _Basis(order)
-    leads: list[Monomial] = []
     # heap of (lcm degree, i, j), each pair pushed once; a pair with
     # coprime leads is handled when it is made and never pushed
     pending: list = []
@@ -214,14 +213,13 @@ def buchberger(gens, order: TermOrder,
             return True
         j = len(basis)
         lmj = h.leading_monomial(order)
-        basis.append(_polynomial(_primitive(h.terms, lmj)))
-        for i, lmi in enumerate(leads):
+        for lmi, _, _, i in basis.divisors:
             # coprime leads: the S-polynomial reduces to zero, so the pair
             # is handled as soon as it is made
             if not lmi.coprime(lmj):
                 heapq.heappush(pending, (lmi.lcm(lmj).degree, i, j))
                 pending_set.add((i, j))
-        leads.append(lmj)
+        basis.append(_polynomial(_primitive(h.terms, lmj)))
         return False
 
     for f in map(as_polynomial, gens):
@@ -234,8 +232,8 @@ def buchberger(gens, order: TermOrder,
             deadline.check()
         _, i, j = heapq.heappop(pending)
         pending_set.discard((i, j))
-        l = leads[i].lcm(leads[j])
-        if _chain_criterion(leads, i, j, l, pending_set):
+        l = basis.divisors[i][0].lcm(basis.divisors[j][0])
+        if _chain_criterion(basis.divisors, i, j, l, pending_set):
             continue
         if add(s_polynomial(basis[i], basis[j], order)):
             return [Polynomial.constant(1)]
@@ -243,11 +241,11 @@ def buchberger(gens, order: TermOrder,
     return interreduce(basis, order, deadline)
 
 
-def _chain_criterion(leads, i, j, l, pending_set) -> bool:
+def _chain_criterion(divisors, i, j, l, pending_set) -> bool:
     # prune (i, j) when some k has lm_k | lcm(i, j) and both (i, k), (j, k)
     # were already handled; a pair with coprime leads never enters
     # pending_set, so it counts as handled from the moment it is made
-    for k, lmk in enumerate(leads):
+    for lmk, _, _, k in divisors:
         if k in (i, j):
             continue
         if lmk.divides(l):

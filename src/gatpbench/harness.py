@@ -7,9 +7,10 @@ Records live in an append-only tab-separated store, one line per run:
 
 Times carry six decimal places, started_at is ISO-8601 UTC, and the host
 fingerprint is a JSON-quoted string (it contains spaces).  Lines starting
-with '#' are headers or comments, and blank lines are skipped.  Apart from
-wall-clock readings and timestamps, reruns of the same configuration produce
-identical records.
+with '#' are headers or comments, and blank lines are skipped.  Records are
+written as cells end, built-ins first, then externals, each group sorted by
+problem, prover and repetition; a suite stopped by SIGTERM or Ctrl-C keeps
+the records written so far.  Apart from times, reruns give identical records.
 
 The store is outside input, so loading it checks every line: nine fields,
 a known status, integer repetition >= 1 and ndg_count >= 0, finite times
@@ -296,29 +297,43 @@ def run_single(problem: Problem, descriptor: ProverDescriptor,
 
 
 def run_suite(cfg: RunConfig, store: ResultsStore | None = None) -> list:
-    """Every (problem, prover, repetition) cell, deterministically ordered.
+    """Every (problem, prover, repetition) cell, sorted by that key.
 
     Built-in cells run one at a time on the calling thread: they hold the
     GIL, so running them side by side would only stretch their wall times.
     External cells then overlap on cfg.parallelism threads, each waiting on
     its own child process; an exception that stops the run, such as
-    KeyboardInterrupt, kills those children before it propagates.  Results
-    are sorted by (problem_id, prover_id, repetition) before storing so
-    equal inputs give equal stores modulo timing.
+    KeyboardInterrupt, kills those children before it propagates.  Records
+    reach the store in one append, built-in cells first, then external
+    ones, each group in key order, and each once its cell and those before
+    it have ended, so a run stopped by SIGTERM or Ctrl-C keeps them.
     """
-    cells = [(entry.problem, desc, rep)
-             for entry in cfg.corpus.entries
-             for desc in cfg.provers
-             for rep in range(1, cfg.repetitions + 1)]
-    records = [run_single(p, d, cfg, rep) for p, d, rep in cells
-               if d.kind is not ProverKind.EXTERNAL]
+    cells = sorted(((entry.problem, desc, rep)
+                    for entry in cfg.corpus.entries
+                    for desc in cfg.provers
+                    for rep in range(1, cfg.repetitions + 1)),
+                   key=lambda c: (c[0].id, c[1].id, c[2]))
+    records: list = []
+    futures: list = []
+
+    def finished(pool):
+        for p, d, rep in cells:
+            if d.kind is not ProverKind.EXTERNAL:
+                records.append(run_single(p, d, cfg, rep))
+                yield records[-1]
+        futures.extend(pool.submit(run_single, p, d, cfg, rep)
+                       for p, d, rep in cells if d.kind is ProverKind.EXTERNAL)
+        for f in futures:
+            records.append(f.result())
+            yield records[-1]
+
+    # without a store, list just runs the cells
+    drain = list if store is None else store.append_many
     # imported here so that importing the package does not load it
     from concurrent.futures import ThreadPoolExecutor, wait
     with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-        futures = [pool.submit(run_single, p, d, cfg, rep)
-                   for p, d, rep in cells if d.kind is ProverKind.EXTERNAL]
         try:
-            records.extend(f.result() for f in futures)
+            drain(finished(pool))
         except BaseException:
             # stopped (a signal, an error): start no further cell and kill
             # the children of the running ones, also one that starts late,
@@ -329,6 +344,4 @@ def run_suite(cfg: RunConfig, store: ResultsStore | None = None) -> list:
                 running = list(wait(running, timeout=0.05).not_done)
             raise
     records.sort(key=RunRecord.sort_key)
-    if store is not None:
-        store.append_many(records)
     return records

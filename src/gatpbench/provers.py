@@ -413,23 +413,19 @@ def solve_construction(problem: pr.Problem, rng: random.Random):
     return pts
 
 
-def _has_random_choice(problem: pr.Problem) -> bool:
-    return any(pr.PARAM in s.roles for s in problem.steps)
-
-
 def numeric_check(system: PolynomialSystem, samples: int, seed: int,
                   avoid=()):
     """Evaluate every conclusion on exact random models of the hypotheses.
 
     avoid lists polynomials (e.g. a prover's ndg conditions) that must be
     nonzero at each accepted model.  Zero tolerance: any nonzero conclusion
-    value is a Counterexample.  A construction with no random choice is
-    checked on its single model, drawn once: a degenerate or avoided draw
-    cannot change, so it raises DegenerateExhaustedError at once.
+    value is a Counterexample.  The unknowns are system.params and
+    system.dependents; with no params the single model is drawn once, and a
+    degenerate or avoided draw raises DegenerateExhaustedError at once.
 
     Models are drawn and solved in integer homogeneous coordinates
     (solve_construction).  The common denominator d of a model is the lcm of
-    the W of each point that holds variables.  K, the largest total degree
+    the W of each point that holds an unknown.  K, the largest total degree
     among avoid, the hypotheses and the conclusions, is worked out once per
     call; each model gets one power table [1, d, ..., d**K], and every
     polynomial p is tested through the exact value d**K * p(x)
@@ -440,13 +436,11 @@ def numeric_check(system: PolynomialSystem, samples: int, seed: int,
         raise ValueError("samples must be >= 1")
     top_degree = max((p.total_degree for p in (
         *avoid, *system.hypotheses, *system.conclusions)), default=0)
-    # (point, x variable or None, y variable or None) of each point that
-    # holds a variable
-    layout = [(point, getattr(cx, "name", None), getattr(cy, "name", None))
-              for point, (cx, cy) in system.assignment.items()
-              if hasattr(cx, "name") or hasattr(cy, "name")]
+    layout = [(v.name, v.point, "xy".index(v.axis))
+              for v in (*system.params, *system.dependents)]
+    points = {p for _, p, _ in layout}
     rng = random.Random(seed)
-    if _has_random_choice(system.problem):
+    if system.params:
         effective, attempts = samples, RETRY_CAP
     else:
         effective, attempts = 1, 1
@@ -456,16 +450,10 @@ def numeric_check(system: PolynomialSystem, samples: int, seed: int,
             candidate = solve_construction(system.problem, rng)
             if candidate is None:
                 continue
-            d = math.lcm(*(candidate[p][2] for p, _, _ in layout))
+            d = math.lcm(*(candidate[p][2] for p in points))
             dpow = power_table(d, top_degree)
-            point = {}
-            for p, nx, ny in layout:
-                x, y, w = candidate[p]
-                k = d // w
-                if nx is not None:
-                    point[nx] = x * k
-                if ny is not None:
-                    point[ny] = y * k
+            point = {name: candidate[p][axis] * (d // candidate[p][2])
+                     for name, p, axis in layout}
             if any(a.scaled_value(dpow, point) == 0 for a in avoid):
                 continue
             model = candidate

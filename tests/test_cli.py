@@ -13,6 +13,7 @@ import pytest
 import gatpbench
 from gatpbench.cli import build_parser, main, resolve_timeout, UsageError
 from gatpbench.corpus import bundled_manifest_path
+from gatpbench.harness import ResultsStore
 
 from test_provers import kill_survivors
 
@@ -107,6 +108,10 @@ class TestCheck:
         first = capsys.readouterr().out
         assert main(args) == 1
         assert capsys.readouterr().out == first
+
+    def test_zero_samples_usage_error(self, capsys):
+        assert main(["check", geo("GEO0002"), "--samples", "0"]) == 2
+        assert capsys.readouterr().err == "error: --samples must be >= 1\n"
 
 
 class TestListCommand:
@@ -264,15 +269,18 @@ class TestBenchAndRank:
         ["--provers", "wu", "--external", "a\nb=true {input}"],
         ["--provers", "wu", "--external", "a\rb=true {input}"],
         ["--provers", "wu", "--external", "a,b=true {input}"],
+        ["--provers", "wu", "--jobs", "0"],
+        ["--provers", "wu", "--repetitions", "0"],
     ], ids=["builtin-twice", "external-shadows-builtin", "external-twice",
             "unsplittable-template", "template-without-input", "tab-in-id",
-            "space-in-id", "lf-in-id", "cr-in-id", "comma-in-id"])
+            "space-in-id", "lf-in-id", "cr-in-id", "comma-in-id",
+            "zero-jobs", "zero-repetitions"])
     def test_colliding_prover_ids_usage_error(self, mini_corpus, tmp_path,
                                               flags):
         # two provers under one id would merge their records in the store,
         # and an id with whitespace or a comma would split a store line or
-        # the --provers list; each bad prover list is rejected before any
-        # cell runs
+        # the --provers list; each bad prover list, like a count below 1,
+        # is rejected before any cell runs
         store = tmp_path / "r.tsv"
         assert main(["bench", "--corpus", str(mini_corpus), *flags,
                      "--timeout", "10", "--out", str(store)]) == 2
@@ -381,7 +389,8 @@ def test_one_parser_serves_every_call(mini_corpus, tmp_path, capsys):
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
 def test_stopped_bench_kills_external_provers(mini_corpus, tmp_path, signum):
     """bench stopped by a signal takes its external provers down with it:
-    the running one and its helper are killed, the queued one never starts."""
+    the running one and its helper are killed, the queued one never starts.
+    The built-in cells that ended before the signal stay in the store."""
     pids = tmp_path / "pids"
     pids.mkdir()
     stub = tmp_path / "sleeper.sh"
@@ -392,7 +401,7 @@ def test_stopped_bench_kills_external_provers(mini_corpus, tmp_path, signum):
     src = Path(gatpbench.__file__).resolve().parent.parent
     bench = subprocess.Popen(
         [sys.executable, "-m", "gatpbench.cli", "bench", "--corpus",
-         str(mini_corpus), "--provers", "sleeper", "--external",
+         str(mini_corpus), "--provers", "wu,sleeper", "--external",
          f"sleeper={stub} {{input}}", "--timeout", "60",
          "--out", str(tmp_path / "runs.tsv")],
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -418,3 +427,6 @@ def test_stopped_bench_kills_external_provers(mini_corpus, tmp_path, signum):
         survivors = kill_survivors([int(pid) for f in pids.iterdir()
                                     for pid in f.read_text().split()])
     assert survivors == []
+    kept = ResultsStore(tmp_path / "runs.tsv").load()
+    assert [(r.problem_id, r.prover_id) for r in kept] == [
+        ("GEO0001", "wu"), ("NOT0001", "wu")]

@@ -43,6 +43,12 @@ def synthetic_system(hypotheses, conclusions, n_deps, n_params=0):
                             problem=None)
 
 
+PROVERS = {
+    "wu": wu_prove,
+    "gbm": groebner_prove,
+}
+
+
 class TestTriangulate:
     def test_chain_is_triangular_with_increasing_class(self):
         s = load("GEO0008")
@@ -139,10 +145,11 @@ class TestWuProver:
         out = wu_prove(load("GEO0001"), timeout_seconds=30, trace=True)
         assert "ascending chain" in out.trace
 
-    def test_tiny_budget_times_out(self):
-        out = wu_prove(load("GEO0008"), timeout_seconds=1e-6)
+    @pytest.mark.parametrize("prover", list(PROVERS))
+    def test_tiny_budget_times_out(self, prover):
+        out = PROVERS[prover](load("GEO0008"), timeout_seconds=1e-6)
         assert out.status is Status.TIMEOUT
-        roomy = wu_prove(load("GEO0008"), timeout_seconds=60)
+        roomy = PROVERS[prover](load("GEO0008"), timeout_seconds=60)
         assert roomy.status is Status.PROVED
 
     @pytest.mark.parametrize("budget", [0, -1, float("nan"), float("inf")])
@@ -292,6 +299,12 @@ CHARACTERISED = {
         Status.ERROR, [], "hypotheses force -1 = 0", None),
     ("contradictory", "gbm"): (
         Status.ERROR, [], "hypotheses force -1 = 0", None),
+    ("param-constrained", "wu"): (
+        Status.ERROR, [],
+        "hypotheses constrain the parameters: 1*u1 + -1 = 0", None),
+    ("param-constrained", "gbm"): (
+        Status.ERROR, [],
+        "hypotheses constrain the parameters: 1*u1 + -1 = 0", None),
 }
 
 
@@ -303,13 +316,11 @@ def characterised_system(case):
     if case == "NOT0001":
         return load("NOT0001")
     x1 = var("x1")
+    if case == "param-constrained":
+        u1 = var("u1")
+        return synthetic_system([u1 - 1, x1 - u1], [x1 - 1], n_deps=1,
+                                n_params=1)
     return synthetic_system([x1, x1 - 1], [x1], n_deps=1)
-
-
-PROVERS = {
-    "wu": wu_prove,
-    "gbm": groebner_prove,
-}
 
 
 class TestProofPaths:

@@ -251,6 +251,24 @@ class TestRankReport:
         with pytest.raises(RankingError):
             rank_report([])
 
+    def test_edge_profiles_and_weights(self):
+        # a prover that proves nothing has no median and ranks last on
+        # efficiency, whatever else it does better
+        idle = profile("idle", scope=(0, 2), level=3)
+        a = profile("a", db=Fraction(1, 4))
+        report = rank_report([idle, a])
+        assert report.dimension_order["efficiency"] == ["a", "idle"]
+        assert "efficiency\t2\tidle\tgood=0,median=n/a" \
+            in report.to_tsv().splitlines()
+        assert "de Bruijn factor [a]: 1/4 (reciprocal 4)" \
+            in report.to_text().splitlines()
+        assert rank_report([a], {"scope": 1}).aggregate == {"a": 0}
+        # a zero weight next to a positive one changes nothing
+        alone = rank_report([idle, a], {"efficiency": 1}).aggregate
+        assert rank_report([idle, a], {"readability": 0,
+                                       "efficiency": 1}).aggregate == alone
+        assert alone == {"a": 0, "idle": 1}
+
     def test_tsv_one_line_per_dimension_rank(self):
         profs = [profile("a"), profile("b")]
         lines = rank_report(profs, {"scope": 1}).to_tsv().splitlines()
