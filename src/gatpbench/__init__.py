@@ -6,8 +6,11 @@ Gröbner prover or an external command (`provers`), cross-check with the
 exact numeric oracle, time everything over a corpus (`harness`), and rank
 the provers on scope, efficiency, readability and reliability (`ranking`).
 
-Importing the package loads parsing and algebra only; each name listed in
-_LAZY loads its module on first use (PEP 562).
+Importing the package loads `problems` and `algebraize` only; each name
+listed in _LAZY loads its module on first use (PEP 562).  The polynomial
+kernel and `budget` load with the first algebraize call or the first use
+of one of their names, so reading a corpus never loads them, and a process
+that proves imports the same modules either way.
 """
 
 from importlib import import_module as _import_module
@@ -17,15 +20,13 @@ from importlib import import_module as _import_module
 from .algebraize import (AlgebraizeError, DegenerateConstructionError,
                          PolynomialSystem, Variable, algebraize,
                          translate_predicate)
-from .budget import DEFAULT_TIMEOUT_SECONDS, Deadline, DeadlineExceeded
-from .polynomials import (Monomial, NotUnivariateError, Polynomial, Rational,
-                          TermOrder, as_polynomial, pseudo_divide, var)
 from .problems import (BadArityError, DuplicatePointError, ParseError, Problem,
                        ProblemSyntaxError, UndefinedPointError,
                        ValidationWarning, parse_problem, render_problem,
                        validate_problem)
 
 _LAZY = {
+    "budget": ("DEFAULT_TIMEOUT_SECONDS", "Deadline", "DeadlineExceeded"),
     "corpus": ("CorpusEntry", "CorpusError", "CorpusManifest",
                "CorpusParseError", "DuplicateIdError", "MissingFileError",
                "bundled_manifest_path", "corpus_hash", "load_corpus"),
@@ -34,6 +35,8 @@ _LAZY = {
                 "run_single", "run_suite"),
     "groebner": ("buchberger", "divide", "is_unit_basis", "normal_form",
                  "s_polynomial"),
+    "polynomials": ("Monomial", "NotUnivariateError", "Polynomial", "Rational",
+                    "TermOrder", "as_polynomial", "pseudo_divide", "var"),
     "provers": ("Consistent", "Counterexample", "DegenerateExhaustedError",
                 "InconsistentSystemError", "ProofOutcome", "ProverDescriptor",
                 "ProverKind", "ReliabilityClass", "SpawnFailureError",

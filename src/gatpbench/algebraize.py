@@ -9,14 +9,15 @@ predicates it asserts, emitted in construction order, so step i never
 mentions a dependent introduced later.  Constructor-level solvability
 assumptions (the steps' ndg hints: line AB not vertical, lines not
 parallel, base points distinct, triangle not flat) are collected alongside
-the system.
+the system.  The polynomial kernel is imported by the first
+algebraize or translate_predicate call, not with this module, so reading
+and parsing problems never loads it.
 """
 
 from __future__ import annotations
 
 from . import problems as pr
 from .problems import DEPENDENT, PARAM, Record
-from .polynomials import Polynomial, as_polynomial
 
 
 class AlgebraizeError(Exception):
@@ -45,23 +46,25 @@ class PolynomialSystem(Record):
     problem: pr.Problem
 
 
-def _coord_poly(c) -> Polynomial:
-    if isinstance(c, Variable):
-        return Polynomial.variable(c.name)
-    return as_polynomial(c)
-
-
 class _Coords:
     """Coordinate lookup plus the common geometric polynomial forms."""
 
     def __init__(self, assignment):
+        from .polynomials import Polynomial, as_polynomial
         self.assignment = assignment
+        self._variable = Polynomial.variable
+        self._constant = as_polynomial
+
+    def _poly(self, c) -> Polynomial:
+        if isinstance(c, Variable):
+            return self._variable(c.name)
+        return self._constant(c)
 
     def x(self, p: str) -> Polynomial:
-        return _coord_poly(self.assignment[p][0])
+        return self._poly(self.assignment[p][0])
 
     def y(self, p: str) -> Polynomial:
-        return _coord_poly(self.assignment[p][1])
+        return self._poly(self.assignment[p][1])
 
     def cross(self, a, b, c, d) -> Polynomial:
         """(b - a) x (d - c); zero iff the segments are parallel."""

@@ -121,6 +121,8 @@ def _parse_weights(text: str) -> dict:
         if key not in DIMENSIONS:
             raise UsageError(f"unknown dimension {key!r} "
                              f"(choose from {', '.join(DIMENSIONS)})")
+        if key in weights:
+            raise UsageError(f"dimension {key!r} given twice")
         try:
             weights[key] = Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -403,7 +403,19 @@ def solve_construction(problem: pr.Problem, rng: random.Random):
     """One exact model of the construction, point -> (X, Y, W) int triple
     for (X/W, Y/W), or None when the draw hits a degenerate configuration
     (vertical base line, parallel lines, flat triangle)."""
-    draw = functools.partial(rng.randint, -SAMPLE_BOUND, SAMPLE_BOUND)
+    # rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) in one frame: the rejection
+    # loop randint reaches through randrange and _randbelow, so the models
+    # stay those of randint (test_solvers pins this)
+    getrandbits = rng.getrandbits
+    width = 2 * SAMPLE_BOUND + 1
+    k = width.bit_length()
+
+    def draw():
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        return r - SAMPLE_BOUND
+
     pts: dict = {}
     for step in problem.steps:
         xyw = step.solve(pts, draw)

@@ -247,6 +247,10 @@ class TestBenchAndRank:
                      "scope=-1"]) == 2
         assert capsys.readouterr().err == (
             "error: negative weight -1 for 'scope'\n")
+        assert main(["rank", "--store", str(store), "--weights",
+                     "efficiency=1,efficiency=2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: dimension 'efficiency' given twice\n")
 
     def test_unknown_prover_usage_error(self, mini_corpus, tmp_path):
         assert main(["bench", "--corpus", str(mini_corpus), "--provers",

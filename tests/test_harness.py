@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from gatpbench import harness
+from gatpbench.algebraize import algebraize
 from gatpbench.corpus import CorpusManifest, bundled_manifest_path, load_corpus
 from gatpbench.harness import (HEADER, CorruptRecordError, ResultsStore,
                                RunConfig, RunRecord, format_record,
@@ -214,12 +215,15 @@ def test_import_leaves_thread_pool_unloaded():
 
 def test_import_loads_only_the_modules_it_uses():
     # -S: no site hook (a .pth file) preloads standard modules
+    loaded = "print(*sorted(m for m in sys.modules if 'gatpbench' in m))"
+    assert fresh_child(f"import sys, gatpbench; {loaded}", "-S").split() == [
+        "gatpbench", "gatpbench.algebraize", "gatpbench.problems"]
+    # reading the corpus needs no polynomial kernel
     assert fresh_child(
         "import sys, gatpbench; "
-        "print(*sorted(m for m in sys.modules if 'gatpbench' in m))",
+        f"gatpbench.load_corpus(gatpbench.bundled_manifest_path()); {loaded}",
         "-S").split() == ["gatpbench", "gatpbench.algebraize",
-                          "gatpbench.budget", "gatpbench.polynomials",
-                          "gatpbench.problems"]
+                          "gatpbench.corpus", "gatpbench.problems"]
     assert fresh_child(
         "import sys, gatpbench.cli; "
         "print(*(m for m in ('gatpbench.harness', 'gatpbench.corpus', "
@@ -290,6 +294,41 @@ def test_lazy_namespace_keeps_every_public_name():
     assert out == {"algebraize": "function", "harness": "module",
                    "unknown": "AttributeError", "timeouts": [60.0] * 3,
                    "missing": []}
+
+
+def test_kernel_names_are_the_submodules_own():
+    code = textwrap.dedent("""
+        import fractions, json, gatpbench
+        names = {"budget": ["DEFAULT_TIMEOUT_SECONDS", "Deadline",
+                            "DeadlineExceeded"],
+                 "polynomials": ["Monomial", "NotUnivariateError",
+                                 "Polynomial", "Rational", "TermOrder",
+                                 "as_polynomial", "pseudo_divide", "var"]}
+        got = {n: getattr(gatpbench, n) for ns in names.values() for n in ns}
+        from gatpbench import budget, polynomials
+        modules = {"budget": budget, "polynomials": polynomials}
+        print(json.dumps({
+            "differ": [n for m, ns in names.items() for n in ns
+                       if got[n] is not getattr(modules[m], n)],
+            "fraction": gatpbench.Rational is fractions.Fraction}))
+    """)
+    assert json.loads(fresh_child(code)) == {"differ": [], "fraction": True}
+
+
+def test_first_algebraize_loads_the_kernel():
+    path = next(e.path for e in load_corpus(bundled_manifest_path()).entries
+                if e.id == "GEO0008")
+    code = textwrap.dedent(f"""
+        import json, sys, gatpbench
+        assert "gatpbench.polynomials" not in sys.modules
+        s = gatpbench.algebraize(
+            gatpbench.parse_problem(open({str(path)!r}).read()))
+        print(json.dumps([[p.to_string() for p in ps]
+                          for ps in (s.hypotheses, s.conclusions)]))
+    """)
+    s = algebraize(parse_problem(Path(path).read_text()))
+    assert json.loads(fresh_child(code)) == [
+        [p.to_string() for p in ps] for ps in (s.hypotheses, s.conclusions)]
 
 
 class TestStore:

@@ -145,3 +145,17 @@ def test_solvers_match_rational_reference(name, text):
         for point, (x, y, w) in got.items():
             assert w > 0 and math.gcd(x, y, w) == 1, (point, (x, y, w))
             assert rational_point((x, y, w)) == want[point], point
+
+
+def test_draws_equal_randint():
+    # the oracle inlines randint's loop; a change in CPython's randint must
+    # fail here rather than silently move the models and the oracle digest
+    problem = parse_problem("problem draws\n"
+                            + "".join(f"free P{i}\n" for i in range(250))
+                            + "conjecture parallel P0 P1 P2 P3\n")
+    for seed in range(200):
+        pts = solve_construction(problem, random.Random(seed))
+        want = random.Random(seed)
+        assert [c for step in problem.steps for c in pts[step.point][:2]] == [
+            want.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(500)
+        ], seed
