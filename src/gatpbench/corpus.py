@@ -91,8 +91,9 @@ def load_corpus(manifest_path) -> CorpusManifest:
         path = base / rel
         try:
             body = path.read_text()
-        except OSError:
-            raise MissingFileError(f"{pid}: missing file {path}",
+        except OSError as e:
+            # missing, a directory or unreadable: the reason says which
+            raise MissingFileError(f"{pid}: cannot read {path}: {e.strerror}",
                                    problem_id=pid, line=lineno)
         try:
             problem = parse_problem(body)

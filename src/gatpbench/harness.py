@@ -5,6 +5,9 @@ Records live in an append-only tab-separated store, one line per run:
     problem_id  prover_id  repetition  status  cpu_seconds  wall_seconds
     ndg_count  started_at  host_fingerprint
 
+A row is a RunRecord, a named tuple of those nine fields in that order,
+and the store's header line is made from the tuple's field names.
+
 Times carry six decimal places, started_at is ISO-8601 UTC, and the host
 fingerprint is a JSON-quoted string (it contains spaces).  Lines starting
 with '#' are headers or comments, and blank lines are skipped.  Records are
@@ -27,7 +30,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 from pathlib import Path
 
 from .algebraize import AlgebraizeError, algebraize
@@ -37,10 +40,6 @@ from .problems import Problem, Record, render_problem
 from .provers import (BUILTINS, ProofOutcome, ProverDescriptor, ProverKind,
                       SpawnFailureError, Status, external_prove,
                       groebner_prove, kill_external_provers, wu_prove)
-
-HEADER = ("# problem_id\tprover_id\trepetition\tstatus\tcpu_seconds"
-          "\twall_seconds\tndg_count\tstarted_at\thost_fingerprint")
-
 
 class CorruptRecordError(ValueError):
     def __init__(self, line_number: int, reason: str):
@@ -65,24 +64,21 @@ class RunConfig(Record):
             raise ValueError("repetitions and parallelism must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
-class RunRecord:
-    problem_id: str
-    prover_id: str
-    repetition: int
-    status: Status
-    cpu_seconds: float
-    wall_seconds: float
-    ndg_count: int
-    started_at: str
-    host_fingerprint: str
+class RunRecord(namedtuple("RunRecord", (
+        "problem_id", "prover_id", "repetition", "status", "cpu_seconds",
+        "wall_seconds", "ndg_count", "started_at", "host_fingerprint"))):
+    """One store row; status is a Status, the times are seconds."""
+    __slots__ = ()
 
     def sort_key(self):
-        return (self.problem_id, self.prover_id, self.repetition)
+        return self[:3]
 
     def timing_free(self):
         """The record with volatile fields blanked, for determinism checks."""
-        return replace(self, cpu_seconds=0.0, wall_seconds=0.0, started_at="")
+        return self._replace(cpu_seconds=0.0, wall_seconds=0.0, started_at="")
+
+
+HEADER = "# " + "\t".join(RunRecord._fields)
 
 
 _FINGERPRINT = None
@@ -140,14 +136,9 @@ def _decode_host(field: str) -> str:
     return host
 
 
-# parse_record fills a record's slots through their member descriptors
-# instead of calling the frozen __init__, which sets each field through
-# object.__setattr__ from a keyword call and costs over twice as much.
-# Unpacking fails at import if RunRecord gains or loses a field.
-(_set_problem, _set_prover, _set_rep, _set_status, _set_cpu, _set_wall,
- _set_ndg, _set_started, _set_host) = [
-    getattr(RunRecord, f.name).__set__ for f in fields(RunRecord)]
-_new_record = object.__new__
+# builds a record from one tuple of its fields, without the keyword
+# handling of RunRecord.__new__
+_new_record = functools.partial(tuple.__new__, RunRecord)
 _intern = sys.intern
 
 
@@ -178,18 +169,9 @@ def parse_record(line: str, line_number: int = 0) -> RunRecord:
     if not 0.0 <= wall_v < math.inf:
         raise CorruptRecordError(
             line_number, f"wall_seconds {wall} is not a finite time >= 0")
-    r = _new_record(RunRecord)
     # a store names a few dozen problems and provers: share their strings
-    _set_problem(r, _intern(pid))
-    _set_prover(r, _intern(prover))
-    _set_rep(r, rep_v)
-    _set_status(r, status_v)
-    _set_cpu(r, cpu_v)
-    _set_wall(r, wall_v)
-    _set_ndg(r, ndg_v)
-    _set_started(r, started)
-    _set_host(r, host_v)
-    return r
+    return _new_record((_intern(pid), _intern(prover), rep_v, status_v,
+                        cpu_v, wall_v, ndg_v, started, host_v))
 
 
 class ResultsStore:

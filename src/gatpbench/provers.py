@@ -518,23 +518,21 @@ def kill_external_provers() -> None:
             _kill_group(proc)
 
 
-def _capture(proc: subprocess.Popen, timeout_seconds: float | None) -> bytes:
+def _capture(proc: subprocess.Popen, deadline: Deadline) -> bytes:
     """The first TRACE_LIMIT bytes of proc's stdout, read in chunks to EOF
     (the rest is drained unkept), once proc has exited.
 
-    Raises subprocess.TimeoutExpired when that takes over timeout_seconds.
+    Raises subprocess.TimeoutExpired when that ends past deadline's limit.
     """
     import selectors
     import subprocess
-    end = None if timeout_seconds is None else (
-        time.monotonic() + timeout_seconds)
 
     def left():
-        if end is None:
+        if deadline.limit is None:
             return None
-        rest = end - time.monotonic()
+        rest = deadline.limit - deadline.elapsed()
         if rest <= 0:
-            raise subprocess.TimeoutExpired(proc.args, timeout_seconds)
+            raise subprocess.TimeoutExpired(proc.args, deadline.limit)
         return rest
 
     kept = bytearray()
@@ -565,7 +563,9 @@ def external_prove(descriptor: ProverDescriptor, problem_file: str,
     is kept as the trace; the rest is read as it comes and dropped, so a
     chatty prover costs no more memory than that.  Child CPU time is read
     from the process accounting of reaped children, so concurrent external
-    runs may blur attribution (wall time is always per-run exact).
+    runs may blur attribution (wall time is always per-run exact).  As for
+    the built-ins, a budget must be positive and finite (ValueError, before
+    any process starts), and None means no limit.
     """
     if descriptor.kind is not ProverKind.EXTERNAL:
         raise ValueError("descriptor does not describe an external prover")
@@ -575,7 +575,8 @@ def external_prove(descriptor: ProverDescriptor, problem_file: str,
     argv = [tok.replace("{input}", str(problem_file))
             for tok in shlex.split(descriptor.command_template)]
     ru0 = resource.getrusage(resource.RUSAGE_CHILDREN)
-    t0 = time.perf_counter()
+    # before Popen, so that a bad budget starts no child
+    deadline = Deadline(timeout_seconds)
 
     def child_cpu() -> float:
         ru1 = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -591,14 +592,14 @@ def external_prove(descriptor: ProverDescriptor, problem_file: str,
     with _LIVE_LOCK:
         _LIVE.add(proc)
     try:
-        out = _capture(proc, timeout_seconds)
+        out = _capture(proc, deadline)
     except subprocess.TimeoutExpired:
         _kill_group(proc)
         proc.stdout.close()
         proc.wait()
         return ProofOutcome(status=Status.TIMEOUT,
                             cpu_seconds=child_cpu(),
-                            wall_seconds=time.perf_counter() - t0)
+                            wall_seconds=deadline.elapsed())
     except BaseException:
         # interrupted on the calling thread: the child goes down with it
         _kill_group(proc)
@@ -606,7 +607,7 @@ def external_prove(descriptor: ProverDescriptor, problem_file: str,
     finally:
         with _LIVE_LOCK:
             _LIVE.discard(proc)
-    wall = time.perf_counter() - t0
+    wall = deadline.elapsed()
     trace = out.decode("utf-8", errors="replace")
     if proc.returncode == 0:
         status, message = Status.PROVED, ""

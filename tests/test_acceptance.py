@@ -185,6 +185,7 @@ def test_criterion_06_efficiency_classification():
     ok(6, "threshold semantics including both inclusive boundaries")
 
 
+@pytest.mark.slow
 def test_criterion_07_timeout_enforcement(tmp_path):
     """A 120 s external prover is cut off at the 60 s default. (Slow.)"""
     stub = tmp_path / "sleeper.sh"

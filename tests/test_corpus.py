@@ -55,6 +55,23 @@ def test_missing_problem_file(tmp_path):
         load_corpus(m)
 
 
+def test_unreadable_problem_file_names_its_reason(tmp_path):
+    (tmp_path / "dirc" / "GEOX.geo").mkdir(parents=True)
+    m = write_corpus(tmp_path, ["A\tA.geo\tproved",
+                                "GEOX\tdirc/GEOX.geo\tproved"])
+    with pytest.raises(MissingFileError) as info:
+        load_corpus(m)
+    assert str(info.value) == (f"A: cannot read {tmp_path / 'A.geo'}: "
+                               "No such file or directory")
+    (tmp_path / "A.geo").write_text(GOOD.format(pid="A"))
+    with pytest.raises(MissingFileError) as info:
+        load_corpus(m)
+    assert str(info.value) == (
+        f"GEOX: cannot read {tmp_path / 'dirc' / 'GEOX.geo'}: "
+        "Is a directory")
+    assert (info.value.problem_id, info.value.line) == ("GEOX", 2)
+
+
 def test_duplicate_id_rejected(tmp_path):
     m = write_corpus(tmp_path, ["A\tA.geo\tproved", "A\tA.geo\tproved"],
                      ["A"])

@@ -1,6 +1,5 @@
 """Benchmark harness: records, stores, timed runs."""
 
-import dataclasses
 import json
 import os
 import pickle
@@ -118,7 +117,7 @@ class TestRecordFormat:
 
     @pytest.mark.parametrize("status", list(Status))
     def test_every_status_round_trips(self, status):
-        r = dataclasses.replace(sample_record(), status=status)
+        r = sample_record()._replace(status=status)
         assert parse_record(format_record(r)).status is status
 
     def test_synthetic_store_round_trip(self, tmp_path):
@@ -140,6 +139,64 @@ class TestRecordFormat:
         assert store.load() == records
 
 
+# a store written before RunRecord became a named tuple, with the records
+# it was written from: the file format must not have moved since
+OLD_STORE = (
+    "# problem_id\tprover_id\trepetition\tstatus\tcpu_seconds"
+    "\twall_seconds\tndg_count\tstarted_at\thost_fingerprint\n"
+    "GEO0000\twu\t1\tproved\t0.031245\t0.031302\t2\t"
+    "2026-10-20T21:40:00.000120+00:00\t"
+    '"Linux 6.1 / Intel(R) Xeon(R) CPU @ 2.20GHz"\n'
+    "GEO0001\tgbm\t2\tunproved\t0.000000\t0.000000\t0\t"
+    "2026-10-20T21:41:00.000121+00:00\t"
+    '"weird \\"quoted\\"\\tname"\n'
+    "GEO0002\text\t1\ttimeout\t10.000512\t59.999999\t0\t"
+    "2026-10-20T21:42:00.000122+00:00\t"
+    '"Darwin 23.1 / Apple M2"\n'
+    "GEO0003\twu\t3\terror\t1234.500000\t1234.500001\t11\t"
+    "2026-10-20T21:43:00.000123+00:00\t"
+    '"\\u00e9 \\u00fc \\u2013 unicode host"\n')
+OLD_RECORDS = [
+    RunRecord(problem_id=f"GEO{i:04d}", prover_id=prover, repetition=rep,
+              status=status, cpu_seconds=cpu, wall_seconds=wall,
+              ndg_count=ndg, host_fingerprint=host,
+              started_at=f"2026-10-20T21:4{i}:00.00012{i}+00:00")
+    for i, (prover, rep, status, cpu, wall, ndg, host) in enumerate([
+        ("wu", 1, Status.PROVED, 0.031245, 0.031302, 2,
+         "Linux 6.1 / Intel(R) Xeon(R) CPU @ 2.20GHz"),
+        ("gbm", 2, Status.UNPROVED, 0.0, 0.0, 0, 'weird "quoted"\tname'),
+        ("ext", 1, Status.TIMEOUT, 10.000512, 59.999999, 0,
+         "Darwin 23.1 / Apple M2"),
+        ("wu", 3, Status.ERROR, 1234.5, 1234.500001, 11,
+         "\u00e9 \u00fc \u2013 unicode host"),
+    ])]
+
+
+class TestStoreFormat:
+    def test_header_is_pinned(self):
+        # the header comes from RunRecord's fields: renaming one must fail
+        # here rather than change the file format
+        assert HEADER == ("# problem_id\tprover_id\trepetition\tstatus"
+                          "\tcpu_seconds\twall_seconds\tndg_count"
+                          "\tstarted_at\thost_fingerprint")
+
+    def test_an_older_store_loads_to_its_records(self, tmp_path):
+        old = tmp_path / "old.tsv"
+        old.write_text(OLD_STORE)
+        assert ResultsStore(old).load() == OLD_RECORDS
+        new = tmp_path / "new.tsv"
+        ResultsStore(new).append_many(OLD_RECORDS)
+        assert new.read_text() == OLD_STORE
+
+    def test_a_record_is_a_nine_tuple(self):
+        r = sample_record()
+        assert len(r) == 9 and r == tuple(r) and RunRecord(*r) == r
+        assert RunRecord._fields == tuple(HEADER[2:].split("\t"))
+        assert r.sort_key() == ("P0000", "wu", 1)
+        assert repr(r).startswith(
+            "RunRecord(problem_id='P0000', prover_id='wu', repetition=1, ")
+
+
 def load_one(path, record):
     path.write_text(HEADER + "\n" + format_record(record) + "\n")
     return ResultsStore(path).load()[0]
@@ -152,9 +209,9 @@ class TestRunRecordValue:
 
     def test_fields_cannot_be_assigned(self, make):
         r = make()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             r.status = Status.ERROR
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             del r.problem_id
         # a name that is not a field has no slot; which error says so
         # depends on the Python version
@@ -175,17 +232,17 @@ class TestRunRecordValue:
 
     def test_replace_and_timing_free(self, make):
         r = make()
-        assert dataclasses.replace(r, repetition=4).repetition == 4
+        assert r._replace(repetition=4).repetition == 4
         blank = r.timing_free()
         assert (blank.cpu_seconds, blank.wall_seconds, blank.started_at) \
             == (0.0, 0.0, "")
-        assert blank == dataclasses.replace(r, cpu_seconds=0.0,
-                                            wall_seconds=0.0, started_at="")
+        assert blank == r._replace(cpu_seconds=0.0, wall_seconds=0.0,
+                                   started_at="")
 
 
 class TestParsedRecordValue(TestRunRecordValue):
     """The same value checks on records parse_record built, which skips
-    RunRecord.__init__."""
+    RunRecord.__new__."""
 
     @pytest.fixture
     def make(self):
@@ -230,11 +287,13 @@ def test_import_loads_only_the_modules_it_uses():
         "'gatpbench.ranking', 'platform', 'subprocess', 'hashlib', "
         "'statistics', 'datetime') if m in sys.modules))",
         "-S") == ""
-    # records are built by problems.Record: only harness loads dataclasses
+    # records are problems.Record values and the store row a named tuple:
+    # no module loads dataclasses
     for code in ["import gatpbench",
                  "import gatpbench as g; "
                  "g.load_corpus(g.bundled_manifest_path())",
-                 "import gatpbench.cli"]:
+                 "import gatpbench.cli",
+                 "import gatpbench.harness, gatpbench.ranking, gatpbench.cli"]:
         assert fresh_child(
             f"import sys; {code}; print(*(m for m in ('dataclasses', "
             "'inspect') if m in sys.modules))", "-S") == "", code
@@ -352,9 +411,8 @@ class TestStore:
             assert store.torn_line is None
 
     def test_loaded_records_share_id_strings(self, tmp_path):
-        records = [dataclasses.replace(sample_record(i % 3),
-                                       prover_id=("wu", "gbm")[i % 2],
-                                       repetition=i + 1)
+        records = [sample_record(i % 3)._replace(
+                       prover_id=("wu", "gbm")[i % 2], repetition=i + 1)
                    for i in range(12)]
         store = ResultsStore(tmp_path / "s.tsv")
         store.append_many(records)

@@ -506,6 +506,27 @@ class TestExternalAdapter:
         assert out.status is status
         assert out.trace == "x" * TRACE_LIMIT
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), 0.0,
+                                        -1.0])
+    def test_a_bad_budget_is_refused_before_the_child_starts(
+            self, tmp_path, budget):
+        ran = tmp_path / "ran"
+        stub = write_stub(tmp_path, "touch.sh", f"touch {ran}\nexit 0\n")
+        desc = external_descriptor("touch", f"{stub} {{input}}")
+        with pytest.raises(ValueError) as ext:
+            external_prove(desc, "p.geo", budget)
+        with pytest.raises(ValueError) as builtin:
+            wu_prove(load("GEO0001"), timeout_seconds=budget)
+        assert str(ext.value) == str(builtin.value) \
+            == "budget must be positive and finite"
+        assert not ran.exists()
+
+    def test_no_budget_runs_unbounded(self, tmp_path):
+        stub = write_stub(tmp_path, "nap.sh", "sleep 0.2\nexit 0\n")
+        desc = external_descriptor("nap", f"{stub} {{input}}")
+        out = external_prove(desc, "p.geo", None)
+        assert out.status is Status.PROVED and out.wall_seconds >= 0.2
+
     def test_missing_binary_raises_spawn_failure(self):
         desc = external_descriptor("ghost", "/nope/nothing {input}")
         with pytest.raises(SpawnFailureError):
