@@ -113,6 +113,17 @@ class TestCheck:
         assert main(["check", geo("GEO0002"), "--samples", "0"]) == 2
         assert capsys.readouterr().err == "error: --samples must be >= 1\n"
 
+    def test_parses_once_through_the_module_global(self, capsys,
+                                                   monkeypatch):
+        # perfbench traces problems.parse by patching this global
+        import gatpbench.cli
+        calls = []
+        parse = gatpbench.cli.parse_problem
+        monkeypatch.setattr(gatpbench.cli, "parse_problem",
+                            lambda text: calls.append(text) or parse(text))
+        assert main(["check", geo("GEO0002"), "--samples", "5"]) == 0
+        assert calls == [Path(geo("GEO0002")).read_text()]
+
 
 class TestListCommand:
     def test_lists_ids_and_expected_statuses(self, capsys):

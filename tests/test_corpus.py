@@ -5,7 +5,7 @@ import pytest
 from gatpbench.corpus import (CorpusError, CorpusParseError,
                               DuplicateIdError, MissingFileError,
                               bundled_manifest_path, corpus_hash, load_corpus)
-from gatpbench.problems import validate_problem
+from gatpbench.problems import parse_problem, validate_problem
 
 GOOD = ("problem {pid}\nfree A\nfree B\nmidpoint M A B\n"
         "conjecture collinear A M B\n")
@@ -108,3 +108,31 @@ def test_problem_parse_error_carries_id(tmp_path):
     with pytest.raises(CorpusParseError) as info:
         load_corpus(m)
     assert info.value.problem_id == "A"
+
+
+def test_entry_paths_join_the_manifest_directory_as_pathlib_does(
+        tmp_path, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    m = write_corpus(tmp_path, ["A\t./A.geo\tproved",
+                                "B\tsub/../B.geo\tproved"], ["A", "B"])
+    paths = [e.path for e in load_corpus(m).entries]
+    # a './' component is dropped, a '..' one kept
+    assert paths == [f"{tmp_path}/A.geo", f"{tmp_path}/sub/../B.geo"]
+    monkeypatch.chdir(tmp_path)
+    assert [e.path for e in load_corpus("manifest.tsv").entries] == [
+        "A.geo", "sub/../B.geo"]
+
+
+def test_each_entry_is_parsed_once_through_the_module_global(
+        tmp_path, monkeypatch):
+    # perfbench traces problems.parse by patching this global
+    import gatpbench.corpus
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_problem(text)
+
+    monkeypatch.setattr(gatpbench.corpus, "parse_problem", counting)
+    corpus = load_corpus(bundled_manifest_path())
+    assert len(calls) == len(corpus.entries) == 17
