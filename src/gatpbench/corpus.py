@@ -90,7 +90,8 @@ def load_corpus(manifest_path) -> CorpusManifest:
         seen.add(pid)
         path = base / rel
         try:
-            body = path.read_text()
+            with open(path) as fh:
+                body = fh.read()
         except OSError as e:
             # missing, a directory or unreadable: the reason says which
             raise MissingFileError(f"{pid}: cannot read {path}: {e.strerror}",
@@ -106,9 +107,8 @@ def load_corpus(manifest_path) -> CorpusManifest:
                 f"manifest line {lineno}: id {pid} names {path}, whose "
                 f"header is 'problem {problem.id}'", problem_id=pid,
                 line=lineno)
-        entries.append(CorpusEntry(id=pid, path=str(path),
-                                   expected_status=expected, problem=problem))
-    return CorpusManifest(path=str(manifest_path), entries=tuple(entries))
+        entries.append(CorpusEntry(pid, str(path), expected, problem))
+    return CorpusManifest(str(manifest_path), tuple(entries))
 
 
 def corpus_hash(manifest: CorpusManifest) -> str:

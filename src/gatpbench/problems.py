@@ -20,6 +20,13 @@ eqdist A B C D, midpoint_of M A B, on_circle_of P O A.
 
 RAT is an integer or integer/integer, normalised to lowest terms.
 
+Lines are those that str.splitlines() yields, so a vertical tab, a form
+feed, \\x1c to \\x1e, \\x85, U+2028 or U+2029 ends a line as a newline
+does, and any Unicode whitespace separates tokens.  A ParseError locates
+the token it rejects: its line is 1-based, counted as str.splitlines()
+counts lines, and its column is the token's 1-based character index in
+the raw line, where a tab counts as one column.
+
 Each construct is declared once, as one class below whose class statement
 names its keyword, e.g. `class Midpoint(Step, keyword="midpoint")`;
 defining the class registers it.  Parsing, rendering, validation,
@@ -545,33 +552,39 @@ class Problem(Record):
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _RAT = re.compile(r"-?\d+(?:/\d+)?\Z")
-_TOKEN = re.compile(r"\S+")
+_TOKEN = re.compile(r"\S+")   # the tokens str.split() yields, located
 _META = re.compile(r"^#[ \t]?meta:[ \t]?(.*)$")
 
 
-def _tokens(line: str):
-    """(text, 1-based column) pairs, with any '#' comment stripped."""
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    return [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(line)]
+def _column(line: str, i: int) -> int:
+    """The 1-based column of the i-th token of a line; only an error needs
+    it, so the parser splits lines without locating their tokens."""
+    # a '#' comment only follows the tokens before it, so no cut is needed
+    return [m.start() for m in _TOKEN.finditer(line)][i] + 1
 
 
-def _parse_rational(tok: str, lineno: int, col: int) -> Fraction:
+def _parse_rational(tok: str) -> Fraction:
+    """The value of a RAT literal; a ValueError says what is wrong with it."""
     if not _RAT.match(tok):
-        raise ProblemSyntaxError(lineno, col, f"bad rational literal {tok!r}")
-    if "/" in tok:
-        num, den = tok.split("/")
-        if int(den) == 0:
-            raise ProblemSyntaxError(lineno, col, "zero denominator")
-        return Fraction(int(num), int(den))
-    return Fraction(int(tok))
+        raise ValueError(f"bad rational literal {tok!r}")
+    num, _, den = tok.partition("/")
+    try:
+        den = int(den or 1)
+        if den:
+            return Fraction(int(num), den)
+    except ValueError:  # a numeral past the interpreter's int-string limit
+        raise ValueError(f"rational literal of {len(tok)} characters has "
+                         "too many digits") from None
+    raise ValueError("zero denominator")
 
 
-def _require_ident(tok: str, lineno: int, col: int) -> str:
-    if not _IDENT.match(tok):
-        raise ProblemSyntaxError(lineno, col, f"bad identifier {tok!r}")
-    return tok
+def _undefined(line: str, lineno: int, i: int, name: str) -> ParseError:
+    """The error for the i-th token of a line, which names no point declared
+    so far (a declared name has passed _IDENT)."""
+    col = _column(line, i)
+    if not _IDENT.match(name):
+        return ProblemSyntaxError(lineno, col, f"bad identifier {name!r}")
+    return UndefinedPointError(lineno, col, name)
 
 
 def _step_arity_message(cls, got: int) -> str:
@@ -584,7 +597,6 @@ def _step_arity_message(cls, got: int) -> str:
 
 def parse_problem(text: str) -> Problem:
     """Parse problem text; identical input bytes give identical Problems."""
-    lines = text.splitlines()
     problem_id = None
     meta_lines: list[str] = []
     steps: list = []
@@ -592,79 +604,86 @@ def parse_problem(text: str) -> Problem:
     declared: set[str] = set()
     last_line = 0
 
-    def check_defined(name, lineno, col):
-        _require_ident(name, lineno, col)
-        if name not in declared:
-            raise UndefinedPointError(lineno, col, name)
-        return name
-
-    def check_fresh(name, lineno, col):
-        _require_ident(name, lineno, col)
-        if name in declared:
-            raise DuplicatePointError(lineno, col, name)
-        return name
-
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         if problem_id is not None and not steps and not conjectures:
             m = _META.match(raw.strip())
             if m:
                 meta_lines.append(m.group(1))
                 continue
-        toks = _tokens(raw)
+        toks = raw.partition("#")[0].split()
         if not toks:
             continue
         last_line = lineno
-        keyword, kcol = toks[0]
+        keyword = toks[0]
 
         if problem_id is None:
             if keyword != "problem":
-                raise ProblemSyntaxError(lineno, kcol,
+                raise ProblemSyntaxError(lineno, _column(raw, 0),
                                          "expected 'problem IDENT' header")
             if len(toks) != 2:
-                raise ProblemSyntaxError(lineno, kcol,
+                raise ProblemSyntaxError(lineno, _column(raw, 0),
                                          "header is 'problem IDENT'")
-            problem_id = _require_ident(toks[1][0], lineno, toks[1][1])
+            problem_id = toks[1]
+            if not _IDENT.match(problem_id):
+                raise ProblemSyntaxError(lineno, _column(raw, 1),
+                                         f"bad identifier {problem_id!r}")
             continue
 
         if keyword == "conjecture":
             if len(toks) < 2:
-                raise ProblemSyntaxError(lineno, kcol,
+                raise ProblemSyntaxError(lineno, _column(raw, 0),
                                          "conjecture needs a predicate")
-            pred, pcol = toks[1]
+            pred = toks[1]
             cls = PREDICATES.get(pred)
             if cls is None:
-                raise ProblemSyntaxError(lineno, pcol,
+                raise ProblemSyntaxError(lineno, _column(raw, 1),
                                          f"unknown predicate {pred!r}")
             args = toks[2:]
-            want = len(cls._form)
-            if len(args) != want:
-                raise BadArityError(lineno, pcol, pred, want, len(args))
-            conjectures.append(cls(*[check_defined(t, lineno, c)
-                                     for t, c in args]))
+            if len(args) != len(cls._form):
+                raise BadArityError(lineno, _column(raw, 1), pred,
+                                    len(cls._form), len(args))
+            for i, name in enumerate(args, 2):
+                if name not in declared:
+                    raise _undefined(raw, lineno, i, name)
+            conjectures.append(cls(*args))
             continue
 
         cls = STEPS.get(keyword)
         if cls is None:
-            raise ProblemSyntaxError(lineno, kcol,
+            raise ProblemSyntaxError(lineno, _column(raw, 0),
                                      f"unknown statement {keyword!r}")
         if conjectures:
-            raise ProblemSyntaxError(lineno, kcol,
+            raise ProblemSyntaxError(lineno, _column(raw, 0),
                                      "construction statements must precede conjectures")
-        args = toks[1:]
         form = cls._form
-        if len(args) != len(form):
-            raise ProblemSyntaxError(lineno, kcol,
-                                     _step_arity_message(cls, len(args)))
-        values = [check_fresh(args[0][0], lineno, args[0][1])]
-        for (tok, col), kind in zip(args[1:], form[1:]):
-            values.append(_parse_rational(tok, lineno, col) if kind == "RAT"
-                          else check_defined(tok, lineno, col))
+        if len(toks) - 1 != len(form):
+            raise ProblemSyntaxError(lineno, _column(raw, 0),
+                                     _step_arity_message(cls, len(toks) - 1))
+        point = toks[1]
+        if not _IDENT.match(point):
+            raise ProblemSyntaxError(lineno, _column(raw, 1),
+                                     f"bad identifier {point!r}")
+        if point in declared:
+            raise DuplicatePointError(lineno, _column(raw, 1), point)
+        values = [point]
+        for i, kind in enumerate(form[1:], 2):
+            tok = toks[i]
+            if kind == "RAT":
+                try:
+                    values.append(_parse_rational(tok))
+                except ValueError as e:
+                    raise ProblemSyntaxError(lineno, _column(raw, i),
+                                             e.args[0]) from None
+            elif tok in declared:
+                values.append(tok)
+            else:
+                raise _undefined(raw, lineno, i, tok)
         step = cls(*values)
         reason = step.parse_error()
         if reason:
-            raise ProblemSyntaxError(lineno, kcol, reason)
+            raise ProblemSyntaxError(lineno, _column(raw, 0), reason)
         steps.append(step)
-        declared.add(step.point)
+        declared.add(point)
 
     if problem_id is None:
         raise ProblemSyntaxError(max(last_line, 1), 1, "missing problem header")

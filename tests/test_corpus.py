@@ -110,6 +110,19 @@ def test_problem_parse_error_carries_id(tmp_path):
     assert info.value.problem_id == "A"
 
 
+@pytest.mark.parametrize("literal", ["1" * 5000, "1/" + "1" * 5000],
+                         ids=["numerator", "denominator"])
+def test_an_overlong_rational_literal_names_its_problem(tmp_path, literal):
+    (tmp_path / "A.geo").write_text(
+        f"problem A\nfixed P {literal} 0\nconjecture collinear P P P\n")
+    m = write_corpus(tmp_path, ["A\tA.geo\tproved"])
+    with pytest.raises(CorpusParseError) as info:
+        load_corpus(m)
+    assert info.value.problem_id == "A"
+    assert (info.value.error.line, info.value.error.col) == (2, 9)
+    assert str(info.value).startswith(f"A ({tmp_path / 'A.geo'}): line 2, ")
+
+
 def test_entry_paths_join_the_manifest_directory_as_pathlib_does(
         tmp_path, monkeypatch):
     (tmp_path / "sub").mkdir()

@@ -112,6 +112,23 @@ class TestErrors:
                    "conjecture collinear A B B\n", DuplicatePointError, 4)
 
 
+# past CPython's int-string limit (4,300 digits by default) int() refuses a
+# numeral; the parser reports it at the literal instead of letting it escape
+HUGE = "1" * 5000
+HUGE_LITERALS = [
+    pytest.param(f"fixed A  {HUGE} 0", 10, 5000, id="numerator"),
+    pytest.param(f"fixed A 0\t-1/{HUGE}", 11, 5003, id="denominator")]
+
+
+@pytest.mark.parametrize("step,col,length", HUGE_LITERALS)
+def test_an_overlong_rational_literal_is_a_syntax_error(step, col, length):
+    with pytest.raises(ProblemSyntaxError) as info:
+        parse_problem(f"problem p\n{step}\nconjecture collinear A A A\n")
+    assert (info.value.line, info.value.col) == (2, col)
+    assert info.value.reason == (
+        f"rational literal of {length} characters has too many digits")
+
+
 class TestValidation:
     def test_clean_problem_has_no_warnings(self):
         assert validate_problem(parse_problem(MIDLINE)) == []
