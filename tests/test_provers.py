@@ -7,6 +7,7 @@ import signal
 import stat
 import textwrap
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,8 @@ from gatpbench.algebraize import (DEPENDENT, PARAM, PolynomialSystem,
                                   Variable, algebraize)
 from gatpbench.corpus import bundled_manifest_path, load_corpus
 from gatpbench.groebner import buchberger, is_unit_basis
-from gatpbench.polynomials import Polynomial, TermOrder, var
+from gatpbench.polynomials import (MissingVariableError, Polynomial,
+                                   TermOrder, var)
 from gatpbench import groebner, provers
 from gatpbench.problems import parse_problem
 from gatpbench.provers import (TRACE_LIMIT, Consistent,
@@ -437,6 +439,51 @@ class TestNumericOracle:
         rng = random.Random(0)
         got = numeric_check(s, samples=20, seed=9, avoid=out.ndg_conditions)
         assert isinstance(got, Consistent)
+
+    def test_fraction_coefficients_give_an_exact_counterexample(self):
+        # a fixed point off the integer grid puts Fraction coefficients in
+        # the hypotheses and the conclusion
+        s = algebraize(parse_problem(
+            "problem R2\nfixed A 1/3 -2/7\nfree B\nfree C\nmidpoint M B C\n"
+            "conjecture perpendicular A M B C\n"))
+        got = numeric_check(s, samples=50, seed=3)
+        assert got == Counterexample(
+            model={"A": (Fraction(1, 3), Fraction(-2, 7)),
+                   "B": (Fraction(-2203), Fraction(9419)),
+                   "C": (Fraction(7833), Fraction(-5727)),
+                   "M": (Fraction(2815), Fraction(1846))},
+            env={"u1": Fraction(-2203), "u2": Fraction(9419),
+                 "u3": Fraction(7833), "u4": Fraction(-5727),
+                 "x1": Fraction(2815), "x2": Fraction(1846)},
+            conclusion_index=0, value=Fraction(5967176, 21))
+        assert list(got.env) == ["u1", "u2", "u3", "u4", "x1", "x2"]
+        assert s.conclusions[0].evaluate(got.env) == got.value
+
+    def test_fraction_coefficients_theorem_is_consistent(self):
+        s = algebraize(parse_problem(
+            "problem R2\nfixed A 1/3 -2/7\nfree B\nfree C\nmidpoint M B C\n"
+            "midpoint N A C\nconjecture parallel M N A B\n"))
+        assert numeric_check(s, samples=50, seed=3) == Consistent(samples=50)
+
+    def test_avoid_in_a_foreign_variable_raises_missing_variable_error(self):
+        s = load("GEO0002")
+        with pytest.raises(MissingVariableError) as err:
+            numeric_check(s, samples=5, seed=0, avoid=[var("zz") + 1])
+        assert err.value.args == ("zz",)
+
+    def test_solve_construction_runs_once_per_draw(self, monkeypatch):
+        calls = []
+
+        def counted(problem, rng):
+            model = solve_construction(problem, rng)
+            calls.append(model is None)
+            return model
+
+        monkeypatch.setattr(provers, "solve_construction", counted)
+        got = numeric_check(load("GEO0002"), samples=100, seed=0)
+        assert got == Consistent(samples=100)
+        # each accepted sample is one draw, and each degenerate one a draw
+        assert len(calls) == 100 + sum(calls)
 
 
 def kill_survivors(pids, grace=2.0) -> list:
