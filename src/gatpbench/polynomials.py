@@ -22,17 +22,16 @@ exponent pairs, printed text and term-order keys are decoded by name.
 
 Also here: term orders (lexicographic and degree-reverse-lexicographic),
 exact evaluation, and pseudo-division with respect to a chosen variable.
-Evaluation runs in int arithmetic: scaled_point brings a rational point
-over one common denominator d, power_table lists d**0 .. d**K once per
-point, and Polynomial.scaled_value computes d**K * p(x) from that table for
-any p of total degree at most K, an int for int coefficients; evaluate
-divides that by d**K once.
+evaluate is the exact Fraction sum over the terms.  For evaluating many
+polynomials at many points in int arithmetic, Polynomial.term_rows lists
+each term as its coefficient, a power of a common denominator d and the
+positions of its variables in one value list, so that d**K * p(x) for
+x = values / d is a sum of int products (the sampling oracle in provers).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import sys
 import threading
@@ -299,35 +298,6 @@ def _quotient(a, b):
     return q.numerator if q.denominator == 1 else q
 
 
-def scaled_point(env: dict, names) -> tuple:
-    """(d, numerators) for the rational point env restricted to names.
-
-    d is the least common denominator of those coordinates and
-    numerators[name] = env[name] * d, an int, so a polynomial evaluates in
-    int arithmetic (Polynomial.scaled_value).  Raises MissingVariableError
-    for a name env does not bind and TypeError for a value that is not an
-    exact rational, in the order names are given.
-    """
-    values = {}
-    for name in names:
-        if name not in values:
-            if name not in env:
-                raise MissingVariableError(name)
-            values[name] = _coerce(env[name])
-    d = math.lcm(*(v.denominator for v in values.values()))
-    return d, {name: v.numerator * (d // v.denominator)
-               for name, v in values.items()}
-
-
-def power_table(d: int, k: int) -> list:
-    """[1, d, d**2, ..., d**k], the powers Polynomial.scaled_value reads;
-    k < 1 gives [1]."""
-    dpow = [1]
-    for _ in range(k):
-        dpow.append(dpow[-1] * d)
-    return dpow
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -527,40 +497,35 @@ class Polynomial:
 
     # -- evaluation ----------------------------------------------------------
 
-    def scaled_value(self, dpow: list, numerators: dict):
-        """d**K * self(x) for the point x = numerators / d, given the power
-        table dpow = [1, d, ..., d**K] with K = len(dpow) - 1 >= the total
-        degree.
+    def term_rows(self, names, top: int) -> list:
+        """[(coefficient, k, positions)], one row per term: for the point
+        x = values / d, values listed in the order of names, d**top *
+        self(x) is the sum over the rows of coefficient * d**k times the
+        product of values[i] for i in positions.
 
-        Each term c*m adds c * m(numerators) * d**(K - deg m), so int
-        coefficients give an exact int and Fraction ones an exact Fraction;
-        it is zero exactly when self(x) is.  The zero polynomial gives 0.
-        One table serves every polynomial evaluated at the same point; a
-        table shorter than the total degree raises ValueError.
+        k is top minus the term's degree, and positions repeats a
+        variable's index in names once per unit of its exponent, so int
+        values and coefficients give an int.  Raises MissingVariableError
+        for a variable that names does not list, and ValueError for a top
+        below the total degree.
         """
-        try:
-            terms, top = self._decoded
-        except AttributeError:
-            terms, top = self._decoded_terms()
-        k = len(dpow) - 1
-        if top > k:
-            raise ValueError(f"power table reaches d**{k}, below the total "
-                             f"degree {top}")
-        total = 0
-        try:
-            for _, c, degree, exps in terms:
-                v = c * dpow[k - degree]
-                for name, e in exps:
-                    v *= numerators[name] if e == 1 else numerators[name] ** e
-                total += v
-        except KeyError as e:
-            raise MissingVariableError(e.args[0]) from None
-        return total
+        if top < self.total_degree:
+            raise ValueError(f"top {top} is below the total degree "
+                             f"{self.total_degree}")
+        index = {name: i for i, name in enumerate(names)}
+        used = []
+        for v in self.variables():
+            if v not in index:
+                raise MissingVariableError(v)
+            used.append((_shift(v), index[v]))
+        return [(c, top - (m & _LIMIT),
+                 tuple([i for s, i in used if (e := (m >> s) & _FIELD)
+                        for _ in range(e)]))
+                for m, c in self.terms.items()]
 
-    def _decoded_terms(self):
-        """([(monomial, coefficient, degree, exps)] in term order, total
-        degree), made on first use and kept: evaluation and printing read
-        names, not fields."""
+    def _decoded_terms(self) -> list:
+        """[(monomial, coefficient, degree, exps)] in term order, made on
+        first use and kept: evaluate and printing read names, not fields."""
         try:
             return self._decoded
         except AttributeError:
@@ -570,16 +535,19 @@ class Polynomial:
                       tuple([(v, e) for v, s in used
                              if (e := (m >> s) & _FIELD)]))
                      for m, c in self.terms.items()]
-            self._decoded = (terms, self.total_degree)
-            return self._decoded
+            self._decoded = terms
+            return terms
 
     def evaluate(self, env: dict) -> Fraction:
         """Exact value at a rational point; raises on unbound variables."""
-        d, numerators = scaled_point(
-            env, (name for _, _, _, exps in self._decoded_terms()[0]
-                  for name, _ in exps))
-        dpow = power_table(d, self.total_degree)
-        return Fraction(self.scaled_value(dpow, numerators), dpow[-1])
+        total = 0
+        for _, c, _, exps in self._decoded_terms():
+            for name, e in exps:
+                if name not in env:
+                    raise MissingVariableError(name)
+                c *= _coerce(env[name]) ** e
+            total += c
+        return Fraction(total)
 
     # -- identity ------------------------------------------------------------
 
@@ -602,7 +570,7 @@ class Polynomial:
             keyf = lambda row: key(row[0])
         else:
             keyf = lambda row: (row[2], tuple((v, -e) for v, e in row[3]))
-        rows = sorted(self._decoded_terms()[0], key=keyf, reverse=True)
+        rows = sorted(self._decoded_terms(), key=keyf, reverse=True)
         return " + ".join(f"{c}*{_power_product(exps)}" if exps else str(c)
                           for _, c, _, exps in rows)
 

@@ -14,8 +14,10 @@ mirroring what wu_prove assumes.
 
 numeric_check draws exact rational models of the construction, solved in
 integer homogeneous coordinates, and evaluates every conclusion with zero
-tolerance, in int arithmetic over one common denominator per model; it
-refutes modeling mistakes cheaply and cross-checks prover verdicts.
+tolerance: each polynomial is turned into integer term rows once per call,
+and each model is one list of values over one common denominator, so a
+check sums int products; it refutes modeling mistakes cheaply and
+cross-checks prover verdicts.
 
 external_prove runs a prover subprocess on a rendered problem file under
 the exit-code protocol: 0 proved, 1 unproved, anything else an error.
@@ -36,7 +38,7 @@ from operator import itemgetter
 
 from .algebraize import PolynomialSystem
 from .budget import Deadline, DeadlineExceeded
-from .polynomials import Polynomial, TermOrder, power_table, pseudo_divide
+from .polynomials import Polynomial, TermOrder, pseudo_divide
 from . import problems as pr
 from .groebner import buchberger, is_unit_basis
 
@@ -436,26 +438,43 @@ def numeric_check(system: PolynomialSystem, samples: int, seed: int,
     degenerate or avoided draw raises DegenerateExhaustedError at once.
 
     Models are drawn and solved in integer homogeneous coordinates
-    (solve_construction).  The common denominator d of a model is the lcm of
-    the W of each point that holds an unknown.  K, the largest total degree
-    among avoid, the hypotheses and the conclusions, is worked out once per
-    call; each model gets one power table [1, d, ..., d**K], and every
-    polynomial p is tested through the exact value d**K * p(x)
-    (Polynomial.scaled_value), which is an int for int coefficients; only a
-    reported counterexample becomes Fractions.
+    (solve_construction).  Once per call, every polynomial p becomes term
+    rows over the unknowns (Polynomial.term_rows, which raises
+    MissingVariableError for any other variable), with K the largest total
+    degree among avoid, the hypotheses and the conclusions.  The common
+    denominator d of a model is the lcm of the W of each point that holds
+    an unknown; one scale d // W per point fills the value list, and p is
+    tested through the sum of its rows, the exact d**K * p(x), an int for
+    int coefficients; only a reported counterexample becomes Fractions.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    top_degree = max((p.total_degree for p in (
+    avoid = tuple(avoid)
+    top = max((p.total_degree for p in (
         *avoid, *system.hypotheses, *system.conclusions)), default=0)
-    layout = [(v.name, v.point, "xy".index(v.axis))
-              for v in (*system.params, *system.dependents)]
-    points = {p for _, p, _ in layout}
+    unknowns = (*system.params, *system.dependents)
+    names = [v.name for v in unknowns]
+    layout = [(v.point, "xy".index(v.axis)) for v in unknowns]
+    avoid_rows, hypothesis_rows, conclusion_rows = (
+        [p.term_rows(names, top) for p in polys]
+        for polys in (avoid, system.hypotheses, system.conclusions))
+    points = {p for p, _ in layout}
     rng = random.Random(seed)
     if system.params:
         effective, attempts = samples, RETRY_CAP
     else:
         effective, attempts = 1, 1
+
+    def value(rows):
+        """d**K * p(x) for the model in values and dpow."""
+        total = 0
+        for c, k, positions in rows:
+            c *= dpow[k]
+            for i in positions:
+                c *= values[i]
+            total += c
+        return total
+
     for _ in range(effective):
         model = None
         for _attempt in range(attempts):
@@ -463,30 +482,30 @@ def numeric_check(system: PolynomialSystem, samples: int, seed: int,
             if candidate is None:
                 continue
             d = math.lcm(*(candidate[p][2] for p in points))
-            dpow = power_table(d, top_degree)
-            point = {name: candidate[p][axis] * (d // candidate[p][2])
-                     for name, p, axis in layout}
-            if any(a.scaled_value(dpow, point) == 0 for a in avoid):
+            scale = {p: d // candidate[p][2] for p in points}
+            values = [candidate[p][axis] * scale[p] for p, axis in layout]
+            dpow = [d ** k for k in range(top + 1)]
+            if any(value(rows) == 0 for rows in avoid_rows):
                 continue
             model = candidate
             break
         if model is None:
             raise DegenerateExhaustedError(
                 f"no admissible model after {attempts} draws")
-        for h in system.hypotheses:
-            if h.scaled_value(dpow, point) != 0:
+        for rows in hypothesis_rows:
+            if value(rows) != 0:
                 raise AssertionError(
                     "sampled model violates a hypothesis; constructor and "
                     "algebraization disagree")
-        for idx, g in enumerate(system.conclusions):
-            value = g.scaled_value(dpow, point)
-            if value != 0:
+        for idx, rows in enumerate(conclusion_rows):
+            got = value(rows)
+            if got != 0:
                 return Counterexample(
                     model={p: pr.rational_point(xyw)
                            for p, xyw in model.items()},
-                    env={name: Fraction(v, d) for name, v in point.items()},
+                    env={n: Fraction(v, d) for n, v in zip(names, values)},
                     conclusion_index=idx,
-                    value=Fraction(value, dpow[-1]))
+                    value=Fraction(got, dpow[-1]))
     return Consistent(samples=effective)
 
 
@@ -593,17 +612,17 @@ def external_prove(descriptor: ProverDescriptor, problem_file: str,
         _LIVE.add(proc)
     try:
         out = _capture(proc, deadline)
-    except subprocess.TimeoutExpired:
+    except BaseException as e:
+        # timed out, or interrupted on the calling thread: the child goes
+        # down with it, and is reaped at once
         _kill_group(proc)
         proc.stdout.close()
         proc.wait()
+        if not isinstance(e, subprocess.TimeoutExpired):
+            raise
         return ProofOutcome(status=Status.TIMEOUT,
                             cpu_seconds=child_cpu(),
                             wall_seconds=deadline.elapsed())
-    except BaseException:
-        # interrupted on the calling thread: the child goes down with it
-        _kill_group(proc)
-        raise
     finally:
         with _LIVE_LOCK:
             _LIVE.discard(proc)

@@ -13,8 +13,7 @@ from gatpbench.groebner import (buchberger, divide, interreduce, normal_form,
                                 s_polynomial)
 from gatpbench.polynomials import (MissingVariableError, Monomial,
                                    NotUnivariateError, Polynomial, TermOrder,
-                                   as_polynomial, power_table, pseudo_divide,
-                                   scaled_point, var)
+                                   as_polynomial, pseudo_divide, var)
 
 x, y, z, u, v = (var(n) for n in "xyzuv")
 LIMIT = 2 ** 15 - 1     # largest exponent and total degree of a Monomial
@@ -113,41 +112,36 @@ class TestEvaluation:
             assert type(got) is Fraction
             assert got == per_term_value(p, env)
 
-    def test_scaled_value_is_an_int_for_int_coefficients(self):
-        rng = random.Random(9)
-        for _ in range(200):
-            dense = random_dense_poly(rng).terms
-            p = Polynomial({m: c for m, c in dense.items() if type(c) is int})
-            env = mixed_env(rng)
-            d, numerators = scaled_point(env, env)
-            assert all(env[n] * d == numerators[n] for n in env)
-            value = p.scaled_value(power_table(d, p.total_degree),
-                                   numerators)
-            assert type(value) is int
-            assert Fraction(value, d ** max(p.total_degree, 0)) \
-                == per_term_value(p, env)
-
-    def test_scaled_value_reads_a_longer_power_table(self):
-        # a table up to d**K with K >= deg p gives d**K * p(x), so one table
-        # serves every polynomial of a system at the same point
+    def test_term_rows_sum_to_the_scaled_numerator(self):
+        # the rows of p over top >= deg p give d**top * p(values / d), an
+        # int for int coefficients, so one top serves a whole system
         rng = random.Random(10)
+        names = ["z", "x", "y"]
         for _ in range(200):
             dense = random_dense_poly(rng)
             ints = Polynomial({m: c for m, c in dense.terms.items()
                                if type(c) is int})
-            env = mixed_env(rng)
-            d, numerators = scaled_point(env, env)
+            d = rng.randint(1, 40)
+            values = [rng.randint(-40, 40) for _ in names]
+            env = {n: Fraction(v, d) for n, v in zip(names, values)}
             for extra in (0, 1, 3):
                 top = max(dense.total_degree, 0) + extra
-                dpow = power_table(d, top)
-                assert dpow == [d ** i for i in range(top + 1)]
                 for p in (dense, ints):
-                    value = p.scaled_value(dpow, numerators)
-                    assert value == d ** top * per_term_value(p, env)
-                assert type(ints.scaled_value(dpow, numerators)) is int
-        assert power_table(7, -1) == [1]
-        with pytest.raises(MissingVariableError):
-            (x * y + 1).scaled_value(power_table(2, 5), {"x": 3})
+                    total = 0
+                    for c, k, positions in p.term_rows(names, top):
+                        c *= d ** k
+                        for i in positions:
+                            c *= values[i]
+                        total += c
+                    assert total == d ** top * per_term_value(p, env)
+                    if p is ints:
+                        assert type(total) is int
+        assert Polynomial().term_rows(names, -1) == []
+        with pytest.raises(ValueError):
+            (x ** 2 + 1).term_rows(["x"], 1)
+        with pytest.raises(MissingVariableError) as err:
+            (x * y + 1).term_rows(["x"], 2)
+        assert err.value.args == ("y",)
 
     def test_float_in_env_raises_type_error(self):
         with pytest.raises(TypeError):
@@ -155,21 +149,9 @@ class TestEvaluation:
         # only the variables the polynomial uses are read
         assert x.evaluate({"x": 2, "y": 0.5}) == 2
 
-    def test_short_power_table_raises(self):
-        p = x ** 2 + 1
-        d, numerators = scaled_point({"x": Fraction(1, 2)}, ["x"])
-        assert p.scaled_value(power_table(d, 2), numerators) == 5
-        with pytest.raises(ValueError):
-            p.scaled_value(power_table(d, 1), numerators)
-        with pytest.raises(ValueError):
-            (x * y).scaled_value([1], {"x": 1, "y": 1})
-        assert Polynomial().scaled_value([1], {}) == 0
-
     def test_unbound_variable_raises_missing_variable_error(self):
         with pytest.raises(MissingVariableError):
             (x * y + 1).evaluate({"x": Fraction(1, 2)})
-        with pytest.raises(MissingVariableError):
-            (x + 1).scaled_value([1, 1], {"y": 3})
 
 
 class TestStructure:

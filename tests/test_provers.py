@@ -5,6 +5,7 @@ import os
 import random
 import signal
 import stat
+import subprocess
 import textwrap
 import time
 from fractions import Fraction
@@ -440,6 +441,14 @@ class TestNumericOracle:
         got = numeric_check(s, samples=20, seed=9, avoid=out.ndg_conditions)
         assert isinstance(got, Consistent)
 
+    def test_avoid_may_be_a_generator(self):
+        s = algebraize(parse_problem(
+            "problem R\nfixed A 0 0\nfree B\nfree C\nmidpoint M B C\n"
+            "conjecture collinear B M C\n"))
+        for avoid in ((s.hypotheses[0],), (h for h in [s.hypotheses[0]])):
+            with pytest.raises(DegenerateExhaustedError):
+                numeric_check(s, samples=1, seed=0, avoid=avoid)
+
     def test_fraction_coefficients_give_an_exact_counterexample(self):
         # a fixed point off the integer grid puts Fraction coefficients in
         # the hypotheses and the conclusion
@@ -581,11 +590,19 @@ class TestExternalAdapter:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"),
                         reason="needs procfs")
-    def test_interrupt_kills_the_process_group(self, tmp_path):
+    def test_interrupt_kills_the_process_group(self, tmp_path, monkeypatch):
         pids = tmp_path / "pids"
         stub = write_stub(tmp_path, "sleeper.sh",
                           f"sleep 30 &\necho $$ $! > {pids}\nwait\n")
         desc = external_descriptor("sleeper", f"{stub} {{input}}")
+        started = []
+
+        class Kept(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Kept)
 
         def interrupt(signum, frame):
             raise KeyboardInterrupt
@@ -600,6 +617,10 @@ class TestExternalAdapter:
             signal.signal(signal.SIGALRM, previous)
         assert kill_survivors([int(p) for p in pids.read_text().split()]) \
             == []
+        # the child is reaped and its pipe closed before the interrupt
+        # leaves external_prove
+        [proc] = started
+        assert proc.returncode is not None and proc.stdout.closed
 
 
 def test_solve_construction_covers_every_constructor():
