@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: ring laws, orders, pseudo-division."""
 
+import math
 import random
 import subprocess
 import sys
@@ -100,6 +101,23 @@ def mixed_env(rng, names=("x", "y", "z"), bound=40):
                               rng.randint(1, bound))) for n in names}
 
 
+def row_sum(p, env, top):
+    """(d, d**top * p(env)) summed in ints from p's term rows, with d the
+    least common denominator of env's values."""
+    names = sorted(env)
+    d = math.lcm(*(Fraction(env[n]).denominator for n in names))
+    values = [env[n] * d for n in names]
+    assert all(type(v) is int or v.denominator == 1 for v in values)
+    values = [int(v) for v in values]
+    total = 0
+    for c, k, positions in p.term_rows(names, top):
+        c *= d ** k
+        for i in positions:
+            c *= values[i]
+        total += c
+    return d, total
+
+
 class TestEvaluation:
     def test_matches_per_term_fraction_sum(self):
         rng = random.Random(8)
@@ -112,35 +130,36 @@ class TestEvaluation:
             assert type(got) is Fraction
             assert got == per_term_value(p, env)
 
-    def test_term_rows_sum_to_the_scaled_numerator(self):
-        # the rows of p over top >= deg p give d**top * p(values / d), an
-        # int for int coefficients, so one top serves a whole system
+    def test_scaled_value_is_an_int_for_int_coefficients(self):
+        # the rows of p over top = deg p give d**deg * p(values / d)
+        rng = random.Random(9)
+        for _ in range(200):
+            dense = random_dense_poly(rng).terms
+            p = Polynomial({m: c for m, c in dense.items() if type(c) is int})
+            env = mixed_env(rng)
+            top = max(p.total_degree, 0)
+            d, value = row_sum(p, env, top)
+            assert type(value) is int
+            assert Fraction(value, d ** top) == per_term_value(p, env)
+
+    def test_scaled_value_reads_a_longer_power_table(self):
+        # rows over top >= deg p give d**top * p(x), so one top serves
+        # every polynomial of a system at the same point
         rng = random.Random(10)
-        names = ["z", "x", "y"]
         for _ in range(200):
             dense = random_dense_poly(rng)
             ints = Polynomial({m: c for m, c in dense.terms.items()
                                if type(c) is int})
-            d = rng.randint(1, 40)
-            values = [rng.randint(-40, 40) for _ in names]
-            env = {n: Fraction(v, d) for n, v in zip(names, values)}
+            env = mixed_env(rng)
             for extra in (0, 1, 3):
                 top = max(dense.total_degree, 0) + extra
                 for p in (dense, ints):
-                    total = 0
-                    for c, k, positions in p.term_rows(names, top):
-                        c *= d ** k
-                        for i in positions:
-                            c *= values[i]
-                        total += c
-                    assert total == d ** top * per_term_value(p, env)
-                    if p is ints:
-                        assert type(total) is int
-        assert Polynomial().term_rows(names, -1) == []
-        with pytest.raises(ValueError):
-            (x ** 2 + 1).term_rows(["x"], 1)
+                    d, value = row_sum(p, env, top)
+                    assert value == d ** top * per_term_value(p, env)
+                assert type(row_sum(ints, env, top)[1]) is int
+        assert Polynomial().term_rows(["x"], -1) == []
         with pytest.raises(MissingVariableError) as err:
-            (x * y + 1).term_rows(["x"], 2)
+            (x * y + 1).term_rows(["x"], 5)
         assert err.value.args == ("y",)
 
     def test_float_in_env_raises_type_error(self):
@@ -149,9 +168,20 @@ class TestEvaluation:
         # only the variables the polynomial uses are read
         assert x.evaluate({"x": 2, "y": 0.5}) == 2
 
+    def test_short_power_table_raises(self):
+        p = x ** 2 + 1
+        assert row_sum(p, {"x": Fraction(1, 2)}, 2) == (2, 5)
+        with pytest.raises(ValueError):
+            p.term_rows(["x"], 1)
+        with pytest.raises(ValueError):
+            (x * y).term_rows(["x", "y"], 1)
+        assert row_sum(Polynomial(), {}, 0) == (1, 0)
+
     def test_unbound_variable_raises_missing_variable_error(self):
         with pytest.raises(MissingVariableError):
             (x * y + 1).evaluate({"x": Fraction(1, 2)})
+        with pytest.raises(MissingVariableError):
+            (x + 1).term_rows(["y"], 1)
 
 
 class TestStructure:
